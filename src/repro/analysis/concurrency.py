@@ -3,7 +3,7 @@
 ROADMAP item 1 turns :class:`~repro.engine.SpMVEngine` into a
 concurrent front-end, and item 2 fans shards across worker pools.
 Neither is safe unless the state those layers share — the operand
-cache, the submit/flush queue, the metrics registry, the breaker
+cache, the engine's stats, the metrics registry, the breaker
 windows — is written under a declared lock discipline.  This module
 enforces that discipline *statically*, the way
 :mod:`repro.analysis.lint` enforces the warp-synchronous idiom: an AST

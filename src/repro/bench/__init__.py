@@ -2,14 +2,12 @@
 
 from repro.bench.convert import (
     ConvertBenchResult,
-    append_convert_trajectory,
     bench_convert,
     format_convert_report,
 )
-from repro.bench.engine import EngineBenchResult, append_obs_trajectory, bench_engine
+from repro.bench.engine import EngineBenchResult, bench_engine
 from repro.bench.load import (
     LoadCampaignResult,
-    append_serve_trajectory,
     bench_load,
     format_load_report,
     zipf_weights,
@@ -17,7 +15,6 @@ from repro.bench.load import (
 from repro.bench.plan import (
     PlanBenchResult,
     PlanCrossoverPoint,
-    append_plan_trajectory,
     bench_plan_crossover,
     block_sweep_csr,
     format_plan_report,
@@ -31,6 +28,7 @@ from repro.bench.harness import (
     profile_suite,
     prune_bench_cache,
 )
+from repro.bench.trajectory import append_trajectory
 
 __all__ = [
     "EVALUATED_METHODS",
@@ -40,10 +38,7 @@ __all__ = [
     "LoadCampaignResult",
     "PlanBenchResult",
     "PlanCrossoverPoint",
-    "append_convert_trajectory",
-    "append_obs_trajectory",
-    "append_plan_trajectory",
-    "append_serve_trajectory",
+    "append_trajectory",
     "bench_convert",
     "bench_engine",
     "bench_load",

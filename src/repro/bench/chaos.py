@@ -12,7 +12,8 @@ probability from calm to storm — and reports, per sweep point:
 
 * request outcomes — clean success, degraded success (served by a
   fallback), chain-exhausted, deadline-missed, *lost* (must be zero:
-  the flush contract returns every request a result or an error),
+  ``spmv_many(return_errors=True)`` returns every request a result or
+  an error),
   and ``incorrect`` (a served ``y`` that disagrees with the
   reference — must be zero: degradation trades speed, never
   correctness);
@@ -26,22 +27,19 @@ ticks the clock, an injected *stall* jumps it past the batch deadline,
 and retry backoff consumes budget — so a campaign is instant, never
 blocks, and is **bit-for-bit reproducible**: the same seed yields the
 same event stream (:meth:`ChaosCampaignResult.event_stream`).
-:func:`append_chaos_trajectory` persists campaigns to the
+:func:`~repro.bench.append_trajectory` persists campaigns to the
 ``BENCH_chaos.json`` artifact CI uploads, next to ``BENCH_obs.json``.
 """
 
 from __future__ import annotations
 
 import copy
-import json
-import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from repro.engine import SpMVEngine
-from repro.errors import DeadlineExceededError, ObservabilityError, ReproError
+from repro.errors import DeadlineExceededError, ReproError
 from repro.exec.middleware import stage_span
 from repro.formats.base import SparseMatrix
 from repro.formats.csr import CSRMatrix
@@ -60,7 +58,6 @@ from repro.robustness.faults import available_faults, faults_for_format, get_fau
 __all__ = [
     "ChaosCampaignResult",
     "ChaosSweepPoint",
-    "append_chaos_trajectory",
     "bench_chaos",
     "format_chaos_report",
 ]
@@ -238,8 +235,9 @@ def bench_chaos(
 
     Each sweep point gets a fresh engine, breaker board and virtual
     clock (campaign points are independent experiments).  The stream
-    alternates two matrices so every flush exercises multi-group
-    micro-batching and the mid-flush error contract; the clock ticks
+    alternates two matrices so every round's ``spmv_many`` call
+    exercises multi-group micro-batching and the per-request error
+    contract; the clock ticks
     one virtual second per request and stalls fire with probability
     ``probability * stall_fraction`` per execute call.  ``faults``
     restricts the injected fault models (default: every registered
@@ -306,11 +304,10 @@ def bench_chaos(
                         csr = matrices[int(rng.integers(len(matrices)))]
                         x = fp16_exact_values(rng, csr.ncols)
                         stream.append((csr, x))
-                        engine.submit(csr, x)
                         clock.advance(1.0)
                     issued += len(stream)
                     events_before = len(engine.stats.degradation_log)
-                    results = engine.flush(return_errors=True, faults=(hook,))
+                    results = engine.spmv_many(stream, return_errors=True, faults=(hook,))
                     tallies["lost"] += len(stream) - len(results)
                     round_degraded = len(engine.stats.degradation_log) > events_before
                     for (csr, x), result in zip(stream, results):
@@ -371,42 +368,6 @@ def bench_chaos(
         points=tuple(points),
         run_report=report.as_dict(),
     )
-
-
-def append_chaos_trajectory(path: str | Path, result: ChaosCampaignResult) -> int:
-    """Append one campaign to the ``BENCH_chaos.json`` trajectory.
-
-    Same contract as the engine bench's ``BENCH_obs.json``: the file is
-    a JSON list, one entry per recorded campaign; anything else there
-    is a structured error, never silently overwritten.  Returns the
-    trajectory length after appending.
-    """
-    path = Path(path)
-    trajectory: list = []
-    if path.exists() and path.read_text(encoding="utf-8").strip():
-        try:
-            trajectory = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ObservabilityError(
-                f"{path} is not valid JSON ({exc}); refusing to overwrite"
-            ) from exc
-        if not isinstance(trajectory, list):
-            raise ObservabilityError(
-                f"{path} holds a {type(trajectory).__name__}, expected a "
-                f"trajectory list; refusing to overwrite"
-            )
-    campaign = result.as_dict()
-    report = campaign.pop("run_report", {})
-    trajectory.append(
-        {
-            "recorded_unix": round(time.time(), 3),
-            "campaign": campaign,
-            "report": report,
-        }
-    )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(trajectory, indent=2) + "\n", encoding="utf-8")
-    return len(trajectory)
 
 
 def format_chaos_report(result: ChaosCampaignResult) -> str:

@@ -19,14 +19,12 @@ ways this codebase kills it:
     from disk with *zero* conversions, proven by counters and a
     bitwise comparison of all three results.
 
-:func:`append_convert_trajectory` appends each run to the
-``BENCH_convert.json`` trajectory artifact CI uploads, with the same
-refuse-to-clobber contract as the other BENCH files.
+:func:`~repro.bench.append_trajectory` appends each run to the
+``BENCH_convert.json`` trajectory artifact CI uploads.
 """
 
 from __future__ import annotations
 
-import json
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
@@ -35,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine import SpMVEngine
-from repro.errors import ObservabilityError
 from repro.exec.middleware import stage_span
 from repro.formats.bitbsr import BitBSRMatrix
 from repro.formats.csr import CSRMatrix
@@ -44,7 +41,6 @@ from repro.persist import OperandStore
 
 __all__ = [
     "ConvertBenchResult",
-    "append_convert_trajectory",
     "bench_convert",
     "format_convert_report",
 ]
@@ -228,42 +224,6 @@ def bench_convert(
         results_bitwise_equal=results_bitwise_equal,
         run_report=report.as_dict(),
     )
-
-
-def append_convert_trajectory(path: str | Path, result: ConvertBenchResult) -> int:
-    """Append one run to the ``BENCH_convert.json`` trajectory.
-
-    Same contract as the other BENCH artifacts: a JSON list, one entry
-    per recorded run (``recorded_unix`` + ``bench`` + ``report``);
-    anything else at ``path`` is a structured error, never silently
-    overwritten.  Returns the trajectory length after appending.
-    """
-    path = Path(path)
-    trajectory: list = []
-    if path.exists() and path.read_text(encoding="utf-8").strip():
-        try:
-            trajectory = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ObservabilityError(
-                f"{path} is not valid JSON ({exc}); refusing to overwrite"
-            ) from exc
-        if not isinstance(trajectory, list):
-            raise ObservabilityError(
-                f"{path} holds a {type(trajectory).__name__}, expected a "
-                f"trajectory list; refusing to overwrite"
-            )
-    bench = result.as_dict()
-    report = bench.pop("run_report", {})
-    trajectory.append(
-        {
-            "recorded_unix": round(time.time(), 3),
-            "bench": bench,
-            "report": report,
-        }
-    )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(trajectory, indent=2) + "\n", encoding="utf-8")
-    return len(trajectory)
 
 
 def format_convert_report(result: ConvertBenchResult) -> str:

@@ -20,23 +20,20 @@ bench cache version is unaffected.
 
 Each run also folds its observability state — engine / cache / kernel
 counters, degradation events, the span timeline — into a
-:class:`~repro.obs.RunReport` carried on the result, and
-:func:`append_obs_trajectory` appends that to the ``BENCH_obs.json``
+:class:`~repro.obs.RunReport` carried on the result, which
+:func:`~repro.bench.append_trajectory` appends to the ``BENCH_obs.json``
 trajectory artifact CI uploads, so perf regressions are trackable
 across PRs.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from repro.engine import SpMVEngine
-from repro.errors import ObservabilityError
 from repro.exec.middleware import stage_span
 from repro.formats.csr import CSRMatrix
 from repro.kernels.base import get_kernel
@@ -44,7 +41,6 @@ from repro.matrices.random import random_coo
 
 __all__ = [
     "EngineBenchResult",
-    "append_obs_trajectory",
     "bench_engine",
     "format_report",
 ]
@@ -167,45 +163,6 @@ def bench_engine(
         hit_curve=tuple(hit_curve),
         run_report=report.as_dict(),
     )
-
-
-def append_obs_trajectory(path: str | Path, result: EngineBenchResult) -> int:
-    """Append one bench run to the ``BENCH_obs.json`` trajectory.
-
-    The artifact is a JSON list, one entry per recorded run —
-    ``{"recorded_unix": ..., "bench": <result minus the report>,
-    "report": <RunReport dict>}`` — so successive PRs (and the CI
-    artifact trail) can diff amortized timings, cache hit rates and
-    degradation counts over time.  Returns the trajectory length after
-    appending.  A file holding anything other than a JSON list is a
-    structured error, never silently overwritten.
-    """
-    path = Path(path)
-    trajectory: list = []
-    if path.exists() and path.read_text(encoding="utf-8").strip():
-        try:
-            trajectory = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ObservabilityError(
-                f"{path} is not valid JSON ({exc}); refusing to overwrite"
-            ) from exc
-        if not isinstance(trajectory, list):
-            raise ObservabilityError(
-                f"{path} holds a {type(trajectory).__name__}, expected a "
-                f"trajectory list; refusing to overwrite"
-            )
-    bench = result.as_dict()
-    report = bench.pop("run_report", {})
-    trajectory.append(
-        {
-            "recorded_unix": round(time.time(), 3),
-            "bench": bench,
-            "report": report,
-        }
-    )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(trajectory, indent=2) + "\n", encoding="utf-8")
-    return len(trajectory)
 
 
 def format_report(result: EngineBenchResult) -> str:

@@ -53,8 +53,10 @@ _CACHE_DIR = Path(os.environ.get("REPRO_BENCH_CACHE", ".bench_cache"))
 
 #: Bump whenever :class:`KernelProfile` / :class:`ExecutionStats` change
 #: shape, so caches written by an older build are discarded instead of
-#: deserializing into objects missing the new fields.
-_CACHE_VERSION = 3
+#: deserializing into objects missing the new fields — or when the
+#: generated suite itself changes (version 4: default matrix seeds no
+#: longer depend on the per-process string-hash salt).
+_CACHE_VERSION = 4
 
 
 def bench_scale() -> float:

@@ -24,24 +24,22 @@ front-end inherits the engine's batching-changes-nothing contract, and
 the campaign fails loudly if concurrency ever breaks it.  The report
 carries p50/p95/p99 latency, throughput, the coalescing factor
 (requests per engine batch), rejection tallies and the merged
-:class:`~repro.obs.RunReport`; :func:`append_serve_trajectory` persists
-campaigns to the ``BENCH_serve.json`` artifact CI uploads, next to
-``BENCH_obs.json`` and ``BENCH_chaos.json``.
+:class:`~repro.obs.RunReport`; :func:`~repro.bench.append_trajectory`
+persists campaigns to the ``BENCH_serve.json`` artifact CI uploads,
+next to ``BENCH_obs.json`` and ``BENCH_chaos.json``.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from repro.engine import SpMVEngine
-from repro.errors import AdmissionError, ObservabilityError, ServeError
+from repro.errors import AdmissionError, ServeError
 from repro.exec.middleware import stage_span
 from repro.formats.csr import CSRMatrix
 from repro.matrices.generators import fp16_exact_values
@@ -50,7 +48,6 @@ from repro.serve import FlushPolicy, ServeFrontend, TenantQuota
 
 __all__ = [
     "LoadCampaignResult",
-    "append_serve_trajectory",
     "bench_load",
     "format_load_report",
     "zipf_weights",
@@ -350,42 +347,6 @@ def bench_load(
         throughput_rps=(resolved / wall) if wall > 0 else 0.0,
         run_report=report.as_dict(),
     )
-
-
-def append_serve_trajectory(path: str | Path, result: LoadCampaignResult) -> int:
-    """Append one campaign to the ``BENCH_serve.json`` trajectory.
-
-    Same contract as ``BENCH_obs.json`` / ``BENCH_chaos.json``: the
-    file is a JSON list, one entry per campaign; anything else there is
-    a structured error, never silently overwritten.  Returns the
-    trajectory length after appending.
-    """
-    path = Path(path)
-    trajectory: list = []
-    if path.exists() and path.read_text(encoding="utf-8").strip():
-        try:
-            trajectory = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ObservabilityError(
-                f"{path} is not valid JSON ({exc}); refusing to overwrite"
-            ) from exc
-        if not isinstance(trajectory, list):
-            raise ObservabilityError(
-                f"{path} holds a {type(trajectory).__name__}, expected a "
-                f"trajectory list; refusing to overwrite"
-            )
-    campaign = result.as_dict()
-    report = campaign.pop("run_report", {})
-    trajectory.append(
-        {
-            "recorded_unix": round(time.time(), 3),
-            "campaign": campaign,
-            "report": report,
-        }
-    )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(trajectory, indent=2) + "\n", encoding="utf-8")
-    return len(trajectory)
 
 
 def format_load_report(result: LoadCampaignResult) -> str:

@@ -18,22 +18,18 @@ point the planner's pick must be no slower than the static pick beyond
 truth time ratio minus one).  A planner that merely reproduces the
 static order passes; one that flips to a slower kernel fails.
 
-:func:`append_plan_trajectory` appends each run to the seeded
-``BENCH_plan.json`` artifact CI uploads (a JSON list; anything else in
-the file is a structured refuse-to-clobber error), so crossover margins
-are diffable across PRs like the other bench trajectories.
+:func:`~repro.bench.append_trajectory` appends each run to the seeded
+``BENCH_plan.json`` artifact CI uploads, so crossover margins are
+diffable across PRs like the other bench trajectories.
 """
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
-from repro.errors import ObservabilityError, PlanError
+from repro.errors import PlanError
 from repro.exec import ExecutionMode, execute
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
@@ -45,7 +41,6 @@ from repro.plan import StaticPlanner, StructurePlanner
 __all__ = [
     "PlanBenchResult",
     "PlanCrossoverPoint",
-    "append_plan_trajectory",
     "bench_plan_crossover",
     "block_sweep_csr",
     "format_plan_report",
@@ -221,36 +216,6 @@ def bench_plan_crossover(
     return PlanBenchResult(
         gpu=gpu, seed=seed, tolerance=tolerance, points=tuple(points)
     )
-
-
-def append_plan_trajectory(path: str | Path, result: PlanBenchResult) -> int:
-    """Append one sweep to the ``BENCH_plan.json`` trajectory artifact.
-
-    Same contract as the other bench trajectories: the artifact is a
-    JSON list (one entry per recorded sweep); a file holding anything
-    else is a structured :class:`~repro.errors.ObservabilityError`,
-    never silently overwritten.  Returns the trajectory length.
-    """
-    path = Path(path)
-    trajectory: list = []
-    if path.exists() and path.read_text(encoding="utf-8").strip():
-        try:
-            trajectory = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ObservabilityError(
-                f"{path} is not valid JSON ({exc}); refusing to overwrite"
-            ) from exc
-        if not isinstance(trajectory, list):
-            raise ObservabilityError(
-                f"{path} holds a {type(trajectory).__name__}, expected a "
-                f"trajectory list; refusing to overwrite"
-            )
-    trajectory.append(
-        {"recorded_unix": round(time.time(), 3), "bench": result.as_dict()}
-    )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(trajectory, indent=2) + "\n", encoding="utf-8")
-    return len(trajectory)
 
 
 def format_plan_report(result: PlanBenchResult) -> str:

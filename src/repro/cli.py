@@ -165,11 +165,12 @@ def _cmd_formats(args) -> int:
 
 def _cmd_verify(args) -> int:
     from repro.errors import FormatError, LayoutError
+    from repro.exec import execute_chain
     from repro.formats import available_formats, convert
     from repro.formats.base import SparseMatrix
     from repro.gpu.fragment import verify_lane_mapping
     from repro.matrices import generate_matrix
-    from repro.robustness import corrupt, dispatch_spmv, get_fault, inject_lane_fault
+    from repro.robustness import corrupt, get_fault, inject_lane_fault
 
     g = generate_matrix(args.matrix, scale=args.scale)
     coo = g.csr.tocoo()
@@ -225,10 +226,10 @@ def _cmd_verify(args) -> int:
 
     print("\ndispatching with graceful degradation:")
     if model.formats:
-        result = dispatch_spmv(g.csr, x, corrupt_hook=hook)
+        result = execute_chain(g.csr, x, deep_verify=True, faults=(hook,))
     else:
         with inject_lane_fault(seed=args.seed):
-            result = dispatch_spmv(g.csr, x)
+            result = execute_chain(g.csr, x, deep_verify=True)
     for event in result.events:
         print(f"  {event}")
     err = float(np.abs(result.y - ref).max())
@@ -331,7 +332,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_engine(args) -> int:
-    from repro.bench.engine import append_obs_trajectory, bench_engine, format_report
+    from repro.bench import append_trajectory
+    from repro.bench.engine import bench_engine, format_report
 
     result = bench_engine(
         args.nrows,
@@ -344,7 +346,7 @@ def _cmd_engine(args) -> int:
     )
     print(format_report(result))
     if args.obs_out:
-        length = append_obs_trajectory(args.obs_out, result)
+        length = append_trajectory(args.obs_out, result, "bench")
         print(f"[obs trajectory {args.obs_out}: {length} run(s)]")
     if not result.bitwise_equal:
         print("FAIL: batched results diverge from per-vector run()")
@@ -387,8 +389,9 @@ def _cmd_report(args) -> int:
 
     events = list(engine.stats.degradation_log)
     if args.fault:
+        from repro.exec import execute_chain
         from repro.formats.base import SparseMatrix
-        from repro.robustness import corrupt, dispatch_spmv, get_fault, inject_lane_fault
+        from repro.robustness import corrupt, get_fault, inject_lane_fault
 
         model = get_fault(args.fault)
         x = g.dense_vector()
@@ -403,10 +406,10 @@ def _cmd_report(args) -> int:
                     prepared.data, _ = corrupt(data, model.name, seed=args.seed)
                     fired.append(kernel_name)
 
-            dispatched = dispatch_spmv(g.csr, x, corrupt_hook=hook)
+            dispatched = execute_chain(g.csr, x, deep_verify=True, faults=(hook,))
         else:
             with inject_lane_fault(seed=args.seed):
-                dispatched = dispatch_spmv(g.csr, x)
+                dispatched = execute_chain(g.csr, x, deep_verify=True)
         events.extend(dispatched.events)
 
     sanitizer_report = None
@@ -463,7 +466,8 @@ def _cmd_chaos(args) -> int:
     disagreed with the CSR reference — the two things the resilience
     layer is never allowed to trade away.
     """
-    from repro.bench.chaos import append_chaos_trajectory, bench_chaos, format_chaos_report
+    from repro.bench import append_trajectory
+    from repro.bench.chaos import bench_chaos, format_chaos_report
     from repro.obs import reset_observability
 
     reset_observability()  # scope the folded report to this campaign
@@ -485,7 +489,7 @@ def _cmd_chaos(args) -> int:
     )
     print(format_chaos_report(result))
     if args.out:
-        length = append_chaos_trajectory(args.out, result)
+        length = append_trajectory(args.out, result, "campaign")
         print(f"[chaos trajectory {args.out}: {length} campaign(s)]")
     return 1 if result.lost or result.incorrect else 0
 
@@ -498,7 +502,8 @@ def _cmd_serve_bench(args) -> int:
     disagreed bitwise with the serial per-request reference — the two
     things the front-end is never allowed to trade for latency.
     """
-    from repro.bench.load import append_serve_trajectory, bench_load, format_load_report
+    from repro.bench import append_trajectory
+    from repro.bench.load import bench_load, format_load_report
     from repro.obs import reset_observability
 
     reset_observability()  # scope the folded report to this campaign
@@ -520,7 +525,7 @@ def _cmd_serve_bench(args) -> int:
     )
     print(format_load_report(result))
     if args.out:
-        length = append_serve_trajectory(args.out, result)
+        length = append_trajectory(args.out, result, "campaign")
         print(f"[serve trajectory {args.out}: {length} campaign(s)]")
     return 1 if result.lost or result.incorrect else 0
 
@@ -533,11 +538,8 @@ def _cmd_convert_bench(args) -> int:
     diverges from cold, or the restarted engine paid a conversion the
     persistent store should have absorbed.
     """
-    from repro.bench.convert import (
-        append_convert_trajectory,
-        bench_convert,
-        format_convert_report,
-    )
+    from repro.bench import append_trajectory
+    from repro.bench.convert import bench_convert, format_convert_report
     from repro.obs import reset_observability
 
     reset_observability()  # scope the folded report to this run
@@ -553,7 +555,7 @@ def _cmd_convert_bench(args) -> int:
     )
     print(format_convert_report(result))
     if args.out:
-        length = append_convert_trajectory(args.out, result)
+        length = append_trajectory(args.out, result, "bench")
         print(f"[convert trajectory {args.out}: {length} run(s)]")
     return 0 if result.passed else 1
 
@@ -584,11 +586,8 @@ def _cmd_plan_bench(args) -> int:
     ``--tolerance`` at any sweep point (ground truth = exact measured
     counters through the roofline model).
     """
-    from repro.bench.plan import (
-        append_plan_trajectory,
-        bench_plan_crossover,
-        format_plan_report,
-    )
+    from repro.bench import append_trajectory
+    from repro.bench.plan import bench_plan_crossover, format_plan_report
 
     sweep = tuple(int(p.strip()) for p in args.sweep.split(",") if p.strip())
     result = bench_plan_crossover(
@@ -602,7 +601,7 @@ def _cmd_plan_bench(args) -> int:
     )
     print(format_plan_report(result))
     if args.out:
-        length = append_plan_trajectory(args.out, result)
+        length = append_trajectory(args.out, result, "bench")
         print(f"[plan trajectory {args.out}: {length} sweep(s)]")
     return 0 if result.within_tolerance else 1
 
@@ -723,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.03)
     p.add_argument("--kernel", default="spaden")
     p.add_argument("--requests", type=int, default=48, help="requests per sweep point")
-    p.add_argument("--batch", type=int, default=8, help="requests per flush round")
+    p.add_argument("--batch", type=int, default=8, help="requests per spmv_many round")
     p.add_argument(
         "--probabilities",
         default="0,0.5,0.9",

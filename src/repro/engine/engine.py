@@ -39,7 +39,6 @@ from repro.exec import (
     ExecutionMode,
     default_chain,
     execute_chain,
-    verify_operand,
 )
 from repro.exec.middleware import FaultHook, stage_span
 from repro.formats.csr import CSRMatrix
@@ -104,22 +103,21 @@ class EngineStats:
 class SpMVEngine:
     """Cached, micro-batching SpMV executor over the kernel registry.
 
-    ``kernel`` names the preferred kernel; when ``degrade`` is true the
-    engine extends it into the PR-1 fallback chain (preferred kernel
-    first, then the remaining registry-derived
-    :func:`~repro.exec.default_chain` members) and walks it per batch.
-    ``deep_verify`` re-runs the deep
-    format verifiers on every freshly prepared operand — cache hits skip
-    it, matching the "amortize verification" contract of PR 1.
+    ``kernel`` names the preferred kernel; the engine extends it into
+    the fallback chain (preferred kernel first, then the remaining
+    registry-derived :func:`~repro.exec.default_chain` members) and
+    walks it per batch.  An explicit ``chain`` replaces that order;
+    ``chain=(kernel,)`` never degrades.
 
     ``resilience`` installs a :class:`~repro.resilience.ResiliencePolicy`:
-    a per-batch deadline, same-kernel retries on retryable causes, and
+    a per-batch deadline, same-kernel retries on retryable causes,
     per-kernel circuit breakers the chain walker consults before
-    attempting a kernel.  The policy's breaker trip and the engine's
-    poisoned-entry cache eviction fire on the same failure, so a sick
-    kernel is quarantined and its cached operand dropped together.
-    ``None`` (the default) leaves every request on the exact pre-policy
-    path — results are bit-identical.
+    attempting a kernel, and the ``deep_verify`` switch that runs the
+    deep format verifiers on every attempt.  The policy's breaker trip
+    and the engine's poisoned-entry cache eviction fire on the same
+    failure, so a sick kernel is quarantined and its cached operand
+    dropped together.  ``None`` (the default) leaves every request on
+    the exact pre-policy path — results are bit-identical.
 
     ``store`` installs a :class:`~repro.persist.OperandStore` as a
     durable tier under the in-memory cache: an operand-cache miss
@@ -149,8 +147,6 @@ class SpMVEngine:
         *,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         chain: tuple[str, ...] | None = None,
-        degrade: bool = True,
-        deep_verify: bool = False,
         resilience: ResiliencePolicy | None = None,
         planner=None,
         store=None,
@@ -160,23 +156,18 @@ class SpMVEngine:
         self.store = store
         if chain is not None:
             self.chain = tuple(chain)
-        elif degrade:
-            self.chain = (kernel,) + tuple(k for k in default_chain() if k != kernel)
         else:
-            self.chain = (kernel,)
+            self.chain = (kernel,) + tuple(k for k in default_chain() if k != kernel)
         if not self.chain:
             raise KernelError("empty kernel chain")
-        self.deep_verify = deep_verify
         self.resilience = resilience
         self.planner = planner
         self.cache = OperandCache(cache_bytes, name=f"engine:{kernel}")
-        # Guards the engine's own bookkeeping (stats, submit queue) only.
+        # Guards the engine's own bookkeeping (stats, plans) only.
         # It is NEVER held across prepare/execute_chain, so concurrent
         # batches still run in parallel; the cache has its own lock.
         self._lock = threading.Lock()
         self.stats = EngineStats()  # concurrency: guarded-by(self._lock)
-        # concurrency: guarded-by(self._lock)
-        self._queue: list[tuple[CSRMatrix, np.ndarray]] = []
         # per-fingerprint plans from self.planner, invalidated together
         # with the operand cache entry they were planned for
         # concurrency: guarded-by(self._lock)
@@ -209,8 +200,6 @@ class SpMVEngine:
         with self._lock:
             self.stats.prepare_calls += 1
             self.stats.prepare_seconds += elapsed
-        if self.deep_verify:
-            verify_operand(kernel, operand)
         self.cache.put(key, operand)
         self._spill(kernel_name, fingerprint, operand)
         return operand
@@ -267,22 +256,18 @@ class SpMVEngine:
         with self._lock:
             self._plans.pop(fingerprint, None)
 
-    def _plan_for(self, csr: CSRMatrix, fingerprint: str, planner):
-        """The plan a batch should walk (cached for the engine's own planner)."""
-        if planner is None:
+    def _plan_for(self, csr: CSRMatrix, fingerprint: str):
+        """The planner's cached plan for this matrix (``None`` without one)."""
+        if self.planner is None:
             return None
-        if planner is self.planner:
-            with self._lock:
-                plan = self._plans.get(fingerprint)
-            if plan is not None:
-                return plan
-            plan = planner.plan(csr, fingerprint=fingerprint)
-            with self._lock:
-                self._plans[fingerprint] = plan
+        with self._lock:
+            plan = self._plans.get(fingerprint)
+        if plan is not None:
             return plan
-        # a per-call override (serve's per-tenant planners) is not
-        # co-cached: the override owns its own profile cache
-        return planner.plan(csr, fingerprint=fingerprint)
+        plan = self.planner.plan(csr, fingerprint=fingerprint)
+        with self._lock:
+            self._plans[fingerprint] = plan
+        return plan
 
     # -- execution -----------------------------------------------------------
     def _execute_batch(
@@ -292,7 +277,6 @@ class SpMVEngine:
         X: np.ndarray,
         simulate: bool,
         faults: tuple[FaultHook, ...] = (),
-        planner=None,
     ) -> np.ndarray:
         """Run one same-matrix batch down the degradation chain.
 
@@ -304,8 +288,7 @@ class SpMVEngine:
         """
         k = X.shape[0]
         policy = self.resilience
-        effective_planner = planner if planner is not None else self.planner
-        plan = self._plan_for(csr, fingerprint, effective_planner)
+        plan = self._plan_for(csr, fingerprint)
 
         def pick_mode(kernel) -> ExecutionMode:
             # simulate only where one simulated decode serves the whole
@@ -339,9 +322,9 @@ class SpMVEngine:
             with self._lock:
                 self.stats.degradation_log.extend(exc.events)
             raise
-        if effective_planner is not None:
+        if self.planner is not None:
             # feedback: measured per-batch seconds, per-vector normalized
-            effective_planner.observe(result.kernel, result.run_seconds, vectors=k)
+            self.planner.observe(result.kernel, result.run_seconds, vectors=k)
         with self._lock:
             self.stats.run_seconds += result.run_seconds
             self.stats.batches += 1
@@ -389,13 +372,8 @@ class SpMVEngine:
         simulate: bool = False,
         return_errors: bool = False,
         faults: tuple[FaultHook, ...] = (),
-        planner=None,
     ) -> list[np.ndarray]:
-        """Serve a queue of ``(matrix, x)`` requests with micro-batching.
-
-        ``planner`` overrides the engine's configured planner for this
-        call (the serving front-end routes per-tenant planner overrides
-        through it); ``None`` keeps the engine's own.
+        """Serve a list of ``(matrix, x)`` requests with micro-batching.
 
         Requests carrying content-identical matrices are grouped (in
         first-seen order, each group's vectors in request order) and
@@ -410,8 +388,7 @@ class SpMVEngine:
         and the remaining groups still execute — no request is ever
         silently dropped.  A *shape-invalid* request follows the same
         contract: it gets a per-request :class:`~repro.errors.KernelError`
-        at its position and never aborts the grouping loop, so a
-        malformed vector can never wedge a :meth:`flush` queue (with
+        at its position and never aborts the grouping loop (with
         ``return_errors=False`` the first invalid request raises before
         anything executes or is counted).  Only requests that pass
         validation are counted in ``stats.requests`` /
@@ -444,9 +421,7 @@ class SpMVEngine:
         for fingerprint, group in groups.items():
             X = np.stack(group["xs"]) if group["xs"] else np.zeros((0, 0), np.float32)
             try:
-                Y = self._execute_batch(
-                    group["csr"], fingerprint, X, simulate, faults, planner=planner
-                )
+                Y = self._execute_batch(group["csr"], fingerprint, X, simulate, faults)
             except ReproError as exc:
                 if not return_errors:
                     raise
@@ -456,65 +431,6 @@ class SpMVEngine:
             for j, position in enumerate(group["positions"]):
                 results[position] = Y[j]
         return results
-
-    def submit(self, csr: CSRMatrix, x: np.ndarray) -> int:
-        """Queue one request for the next :meth:`flush`; returns its index.
-
-        Shape validation happens *here*, at submission time: a malformed
-        vector raises a :class:`~repro.errors.KernelError` to the
-        submitter and never enters the queue.  This is the first half of
-        the poison-pill fix — a request that cannot possibly execute
-        must not be able to wedge :meth:`flush`'s restore path (the
-        second half is :meth:`spmv_many` routing validation failures
-        through ``return_errors``, which covers entries that become
-        invalid later, e.g. a matrix mutated in place after submission).
-        """
-        x = np.asarray(x)
-        if x.ndim != 1 or x.shape[0] != csr.ncols:
-            raise KernelError(
-                f"submitted x has shape {x.shape}, expected ({csr.ncols},)"
-            )
-        entry = (csr, x)
-        with self._lock:
-            self._queue.append(entry)
-            return len(self._queue) - 1
-
-    def flush(
-        self,
-        *,
-        simulate: bool = False,
-        return_errors: bool = False,
-        faults: tuple[FaultHook, ...] = (),
-    ) -> list[np.ndarray]:
-        """Execute every queued request as micro-batches; clears the queue.
-
-        A mid-flush failure can never lose requests: if the underlying
-        :meth:`spmv_many` raises (``return_errors=False``, one group's
-        chain exhausted or deadline missed), the *entire* flushed queue
-        is restored — ahead of anything submitted meanwhile — before the
-        error propagates, so the caller may fix the condition and flush
-        again.  With ``return_errors=True`` the queue is consumed and
-        each failed request carries its error in the result list
-        instead — including requests that fail *validation* (they get a
-        per-request :class:`~repro.errors.KernelError`), so the queue
-        always drains and a malformed entry can never be requeued
-        forever by the restore path.
-        """
-        with self._lock:
-            queue, self._queue = self._queue, []
-        if not queue:
-            return []
-        try:
-            return self.spmv_many(
-                queue, simulate=simulate, return_errors=return_errors, faults=faults
-            )
-        except BaseException:
-            # requeue every request of this flush (results were never
-            # delivered, so re-running them is safe), preserving order
-            # relative to anything submitted while we were failing
-            with self._lock:
-                self._queue = queue + self._queue
-            raise
 
     def operator(self, csr: CSRMatrix):
         """Bind a matrix into a plain ``x -> y`` callable for the apps.

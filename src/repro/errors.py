@@ -19,7 +19,7 @@ class VerificationError(FormatError):
     invariant that holds at construction time has been violated afterwards
     (bit rot, an injected fault, a buggy in-place transformation).  The
     structured attributes let callers — notably the graceful-degradation
-    dispatcher in :mod:`repro.robustness.dispatch` — log *where* a matrix
+    chain walker, :func:`repro.exec.execute_chain` — log *where* a matrix
     broke without parsing the message:
 
     * ``format_name`` — registry name of the offending format,

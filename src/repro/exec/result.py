@@ -1,8 +1,8 @@
 """Result types of the execution layer.
 
 :class:`DegradationEvent` lives here (it is produced by the chain walker
-in :mod:`repro.exec.chain`); :mod:`repro.robustness.dispatch` re-exports
-it so PR-1 callers keep importing from the robustness package.
+in :mod:`repro.exec.chain`); :mod:`repro.robustness` re-exports it next
+to the fault models that cause it.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ Generation runs in four vectorized stages:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -275,12 +276,14 @@ def generate_from_spec(
 
     ``scale`` shrinks nrow / nnz / Bnnz proportionally (structure-derived
     results like block-density mixes are scale-invariant); ``seed``
-    defaults to a per-matrix stable hash so repeated runs agree.
+    defaults to a digest of the matrix name, so every process (whatever
+    its ``PYTHONHASHSEED``) generates the same instance.
     """
     if not 0.0 < scale <= 1.0:
         raise DatasetError("scale must be in (0, 1]")
     if seed is None:
-        seed = abs(hash(spec.name)) % (2**31)
+        digest = hashlib.blake2b(spec.name.encode("utf-8"), digest_size=4).digest()
+        seed = int.from_bytes(digest, "little") % (2**31)
     rng = np.random.default_rng(seed)
 
     nrow = max(BLOCK_DIM * 2, int(round(spec.nrow * scale)))

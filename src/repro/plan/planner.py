@@ -7,7 +7,6 @@ csr-scalar) is the right *safety* order but, per Fig. 9, the wrong
 :class:`ExecutionPlan` — a ranked, capability-filtered kernel order
 plus batch/flush hints — that every dispatch consumer
 (:func:`repro.exec.execute_chain`, :class:`~repro.engine.SpMVEngine`,
-:func:`repro.robustness.dispatch_spmv`,
 :class:`~repro.serve.ServeFrontend`) can walk exactly like a chain.
 
 Two planners ship:

@@ -7,21 +7,18 @@ Three pieces work together:
   :class:`~repro.errors.VerificationError` subclasses with coordinates,
 * :mod:`repro.robustness.faults`, a seeded registry of named corruption
   models that break exactly the invariants the verifiers guard,
-* :mod:`repro.robustness.dispatch`, a kernel dispatcher that catches
-  those failures and falls back along the registry-derived chain
-  (``spaden -> spaden-no-tc -> cusparse-csr -> csr-scalar`` with the
-  built-in kernels), logging each degradation instead of crashing.
+* :func:`repro.exec.execute_chain`, the dispatch entry point, which
+  catches those failures and falls back along the registry-derived
+  chain (``spaden -> spaden-no-tc -> cusparse-csr -> csr-scalar`` with
+  the built-in kernels), logging each degradation instead of crashing;
+  pass ``deep_verify=True`` to run the deep verifiers on every attempt.
 
 See ``docs/robustness.md`` for the invariant-by-invariant mapping to the
 paper's §4.2 format definition, and ``docs/architecture.md`` for the
-execution layer the dispatcher is built on.
+execution layer the chain walker lives in.
 """
 
-from repro.robustness.dispatch import (
-    DegradationEvent,
-    DispatchResult,
-    dispatch_spmv,
-)
+from repro.exec.result import DegradationEvent
 from repro.robustness.faults import (
     FaultModel,
     FaultReport,
@@ -33,10 +30,7 @@ from repro.robustness.faults import (
 )
 
 __all__ = [
-    "DEFAULT_CHAIN",
     "DegradationEvent",
-    "DispatchResult",
-    "dispatch_spmv",
     "FaultModel",
     "FaultReport",
     "available_faults",
@@ -46,12 +40,3 @@ __all__ = [
     "inject_lane_fault",
 ]
 
-
-def __getattr__(name: str):
-    # live view of the registry-derived chain (PEP 562), mirroring
-    # repro.robustness.dispatch.DEFAULT_CHAIN
-    if name == "DEFAULT_CHAIN":
-        from repro.exec import default_chain
-
-        return default_chain()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,8 +5,8 @@ nnz`` per block, exclusive-scanned offsets, in-range indices, the §3
 register/element mapping.  This module corrupts healthy instances in the
 precise ways those invariants can break in the wild (bit rot, truncated
 transfers, conversion bugs), so the deep verifiers in
-:mod:`repro.formats` and the graceful-degradation dispatcher in
-:mod:`repro.robustness.dispatch` can be *proven* to catch what they
+:mod:`repro.formats` and the graceful-degradation chain walker,
+:func:`repro.exec.execute_chain`, can be *proven* to catch what they
 claim.
 
 Every fault model is registered by name, states which formats it can

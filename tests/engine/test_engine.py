@@ -75,17 +75,6 @@ class TestBatching:
                 ]
             )
 
-    def test_submit_flush_queue(self, rng):
-        csr = _csr(rng)
-        xs = [rng.standard_normal(csr.ncols).astype(np.float32) for _ in range(4)]
-        engine = SpMVEngine("spaden")
-        for x in xs:
-            engine.submit(csr, x)
-        ys = engine.flush()
-        assert engine.flush() == []  # queue drained
-        direct = SpMVEngine("spaden").spmv_many([(csr, x) for x in xs])
-        assert all(np.array_equal(a, b) for a, b in zip(ys, direct))
-
     def test_operator_binds_matrix_once(self, rng):
         csr = _csr(rng)
         engine = SpMVEngine("spaden")
@@ -119,7 +108,7 @@ class TestSimulatedBatches:
 
         csr = _csr(rng, nrows=40, ncols=33)
         xs = [fp16_exact_values(rng, 33) for _ in range(3)]
-        engine = SpMVEngine("spaden", degrade=False)
+        engine = SpMVEngine("spaden", chain=("spaden",))
         with Sanitizer() as sanitizer:
             ys = engine.spmv_many([(csr, x) for x in xs], simulate=True)
         assert sanitizer.report.clean, sanitizer.report.summary()
@@ -170,8 +159,9 @@ class TestDegradation:
         assert engine.stats.degradations == 1  # no second fallback
 
     def test_degrade_false_raises_instead(self, rng):
+        """A one-kernel chain has nowhere to degrade to: it raises."""
         csr = _csr(rng)
-        engine = SpMVEngine("spaden", degrade=False)
+        engine = SpMVEngine("spaden", chain=("spaden",))
         assert engine.chain == ("spaden",)
         self._poison(engine, csr)
         with pytest.raises(KernelError, match="all kernels in chain"):

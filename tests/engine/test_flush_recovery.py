@@ -1,18 +1,14 @@
-"""Regression: a mid-flush failure must never lose queued requests.
+"""Regression: a failing micro-batch must never lose requests.
 
-The original ``flush()`` swapped the queue out *before* ``spmv_many``
-ran, so a failing micro-batch dropped every request of that flush on the
-floor.  The contract now: with ``return_errors=False`` the whole flushed
-queue is restored (ahead of anything submitted meanwhile) before the
-error propagates; with ``return_errors=True`` every request gets either
-its result or the error instance at its position — zero lost either way.
+With ``spmv_many(return_errors=True)`` every request gets either its
+result or the error instance at its position, and the groups that did
+not fail are still served — zero lost.
 """
 
 import numpy as np
-import pytest
 
 from repro.engine import SpMVEngine
-from repro.errors import ReproError, VerificationError
+from repro.errors import VerificationError
 from repro.exec import ChainExhaustedError
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
@@ -31,52 +27,6 @@ def _poison_everything(name, prepared):
     raise VerificationError(f"poisoned {name}")
 
 
-class TestQueueRestoration:
-    def test_failed_flush_restores_the_entire_queue(self, rng):
-        csr = _csr(rng)
-        engine = SpMVEngine("spaden", chain=("spaden",))
-        xs = [rng.standard_normal(csr.ncols).astype(np.float32) for _ in range(4)]
-        for x in xs:
-            engine.submit(csr, x)
-
-        with pytest.raises(ReproError):
-            engine.flush(faults=(_poison_everything,))
-
-        # nothing lost: the same four requests are queued, in order
-        assert len(engine._queue) == 4
-        restored = [x for _csr_, x in engine._queue]
-        assert all(np.array_equal(a, b) for a, b in zip(restored, xs))
-
-        # the condition cleared (no fault hook): the retry flush serves all
-        ys = engine.flush()
-        reference = [csr.matvec(x) for x in xs]
-        assert len(ys) == 4
-        for y, ref in zip(ys, reference):
-            assert np.allclose(y, ref, rtol=1e-2, atol=1e-2)
-        assert engine.flush() == []
-
-    def test_restored_requests_precede_later_submissions(self, rng):
-        csr = _csr(rng)
-        engine = SpMVEngine("spaden", chain=("spaden",))
-        first = rng.standard_normal(csr.ncols).astype(np.float32)
-        engine.submit(csr, first)
-        with pytest.raises(ReproError):
-            engine.flush(faults=(_poison_everything,))
-
-        second = rng.standard_normal(csr.ncols).astype(np.float32)
-        engine.submit(csr, second)
-        queued = [x for _csr_, x in engine._queue]
-        assert np.array_equal(queued[0], first)  # failed flush rides up front
-        assert np.array_equal(queued[1], second)
-
-    def test_clean_flush_still_drains(self, rng):
-        csr = _csr(rng)
-        engine = SpMVEngine("spaden")
-        engine.submit(csr, rng.standard_normal(csr.ncols).astype(np.float32))
-        assert len(engine.flush()) == 1
-        assert engine._queue == []
-
-
 class TestPerRequestErrors:
     def test_return_errors_marks_failed_group_and_serves_the_rest(self, rng):
         healthy = _csr(rng)
@@ -89,12 +39,10 @@ class TestPerRequestErrors:
         engine = SpMVEngine("spaden", chain=("spaden",))
         xs = [rng.standard_normal(40).astype(np.float32) for _ in range(4)]
         order = [healthy, doomed, healthy, doomed]
-        for matrix, x in zip(order, xs):
-            engine.submit(matrix, x)
-
-        results = engine.flush(return_errors=True, faults=(poison_doomed,))
+        results = engine.spmv_many(
+            list(zip(order, xs)), return_errors=True, faults=(poison_doomed,)
+        )
         assert len(results) == 4  # zero lost
-        assert engine._queue == []  # consumed: errors were delivered instead
         for matrix, x, result in zip(order, xs, results):
             if matrix is doomed:
                 assert isinstance(result, ChainExhaustedError)
@@ -106,9 +54,12 @@ class TestPerRequestErrors:
     def test_error_instances_are_shared_per_group(self, rng):
         csr = _csr(rng)
         engine = SpMVEngine("spaden", chain=("spaden",))
-        for _ in range(3):
-            engine.submit(csr, rng.standard_normal(csr.ncols).astype(np.float32))
-        results = engine.flush(return_errors=True, faults=(_poison_everything,))
+        requests = [
+            (csr, rng.standard_normal(csr.ncols).astype(np.float32)) for _ in range(3)
+        ]
+        results = engine.spmv_many(
+            requests, return_errors=True, faults=(_poison_everything,)
+        )
         assert len(results) == 3
         assert all(isinstance(r, ChainExhaustedError) for r in results)
         assert results[0] is results[1] is results[2]  # one failure, one object

@@ -2,11 +2,10 @@
 
 Three historical hazards, each with a test that fails on the old code:
 
-* **flush poison pill** — a shape-invalid request used to enter the
-  submit queue, fail inside ``spmv_many``, and be *restored* by the
-  flush recovery path, wedging the queue forever.  Now :meth:`submit`
-  validates eagerly and :meth:`spmv_many` routes validation failures
-  through ``return_errors`` per request, so the queue always drains.
+* **poison pill** — a shape-invalid request used to fail the whole
+  ``spmv_many`` call.  Now :meth:`spmv_many` routes validation failures
+  through ``return_errors`` per request, so the rest of the call is
+  still served.
 * **stats inflation** — ``stats.requests`` / ``engine_requests_total``
   used to count a request before validating it, so rejected requests
   inflated throughput math.  Now only requests the engine actually
@@ -52,37 +51,6 @@ def _requests_total(engine) -> float:
 
 
 class TestPoisonPill:
-    def test_submit_rejects_malformed_before_it_enters_the_queue(self, rng):
-        csr = _csr(rng)
-        engine = SpMVEngine("spaden")
-        with pytest.raises(KernelError):
-            engine.submit(csr, np.ones(csr.ncols + 3, np.float32))
-        assert len(engine._queue) == 0
-        assert engine.flush() == []
-
-    def test_malformed_entry_cannot_wedge_flush(self, rng):
-        """Even an entry that turns invalid *after* submission drains."""
-        csr = _csr(rng)
-        engine = SpMVEngine("spaden")
-        good = [rng.standard_normal(csr.ncols).astype(np.float32) for _ in range(3)]
-        for x in good:
-            engine.submit(csr, x)
-        # sneak a poison entry past submit-time validation, the way an
-        # in-place matrix mutation would: append to the queue directly
-        engine._queue.insert(1, (csr, np.ones(csr.ncols + 1, np.float32)))
-
-        results = engine.flush(return_errors=True)
-
-        assert len(results) == 4
-        assert isinstance(results[1], KernelError)
-        reference = [csr.matvec(x) for x in good]
-        served = [results[0], results[2], results[3]]
-        for y, ref in zip(served, reference):
-            assert np.allclose(y, ref, rtol=1e-2, atol=1e-2)
-        # the queue drained — the poison entry was NOT restored
-        assert len(engine._queue) == 0
-        assert engine.flush() == []
-
     def test_spmv_many_positions_validation_errors_per_request(self, rng):
         csr = _csr(rng)
         engine = SpMVEngine("spaden")
@@ -150,8 +118,7 @@ class TestStatsAccounting:
         engine.spmv_many([(csr, good), (csr, bad)], return_errors=True)
         with pytest.raises(KernelError):
             engine.spmv(csr, bad)
-        engine.submit(csr, good)
-        engine.flush()
+        engine.spmv_many([(csr, good)], return_errors=True)
 
         assert engine.stats.requests == 3
         assert _requests_total(engine) == engine.stats.requests

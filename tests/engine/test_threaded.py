@@ -158,65 +158,6 @@ class TestThreadedSpmv:
         assert all(state == "closed" for state in board.states().values())
 
 
-class TestThreadedSubmitFlush:
-    def test_concurrent_submit_flush_loses_nothing(self, rng):
-        matrices = _matrices(rng)
-        engine = _engine()
-        # distinct scalings make every request's answer unique per (matrix, i)
-        work = [
-            (matrices[i % len(matrices)], (1.0 + i) * np.ones(matrices[i % len(matrices)].ncols, np.float32))
-            for i in range(N_THREADS * PER_THREAD)
-        ]
-        expected = [_engine().spmv(csr, x) for csr, x in work]
-
-        collected: list[np.ndarray] = []
-        collected_lock = threading.Lock()
-        barrier = threading.Barrier(N_THREADS)
-
-        def worker(slot: int):
-            barrier.wait()
-            for j in range(PER_THREAD):
-                csr, x = work[slot * PER_THREAD + j]
-                engine.submit(csr, x)
-                if j % 2 == 1:  # interleave flushes with other threads' submits
-                    results = engine.flush()
-                    with collected_lock:
-                        collected.extend(results)
-
-        with ThreadPoolExecutor(N_THREADS) as pool:
-            list(pool.map(worker, range(N_THREADS)))
-        collected.extend(engine.flush())  # drain whatever the races left queued
-
-        # every request answered exactly once: compare as multisets of bytes
-        assert len(collected) == len(work)
-        assert sorted(y.tobytes() for y in collected) == sorted(
-            y.tobytes() for y in expected
-        )
-        assert engine.stats.requests == len(work)
-        assert len(engine.flush()) == 0  # nothing left behind
-
-    def test_submit_indices_unique_within_a_quiet_queue(self, rng):
-        csr = _csr(rng)
-        engine = _engine()
-        x = np.ones(csr.ncols, np.float32)
-        indices: list[int] = []
-        indices_lock = threading.Lock()
-
-        def worker(_slot: int):
-            for _ in range(PER_THREAD):
-                i = engine.submit(csr, x)
-                with indices_lock:
-                    indices.append(i)
-
-        with ThreadPoolExecutor(N_THREADS) as pool:
-            list(pool.map(worker, range(N_THREADS)))
-
-        # no flush ran, so indices must be a permutation of 0..N-1:
-        # two threads can never claim the same queue slot
-        assert sorted(indices) == list(range(N_THREADS * PER_THREAD))
-        assert len(engine.flush()) == N_THREADS * PER_THREAD
-
-
 class TestThreadedObservability:
     def test_span_log_keeps_every_thread_batch(self, rng):
         matrices = _matrices(rng)

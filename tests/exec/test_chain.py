@@ -37,15 +37,6 @@ def test_default_chain_reflects_capability_tiers():
     assert not get_kernel(chain[-1]).capabilities.tensor_cores
 
 
-def test_default_chain_legacy_reexports_are_live():
-    """`DEFAULT_CHAIN` in the robustness package is the derived chain."""
-    import repro.robustness as robustness
-    from repro.robustness import dispatch
-
-    assert dispatch.DEFAULT_CHAIN == default_chain()
-    assert robustness.DEFAULT_CHAIN == default_chain()
-
-
 def test_registering_a_kernel_extends_the_chain():
     class MidTierKernel(CSRScalarKernel):
         name = "test-mid-tier"

@@ -1,5 +1,10 @@
 """Dataset generator tests: calibration against Table 1 and Fig. 9a."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,6 +83,31 @@ class TestCalibration:
         y1 = g.csr.matvec(x)
         y2 = g.bitbsr.matvec(x)
         assert np.allclose(y1, y2, rtol=1e-3, atol=1e-2)
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+from repro.matrices import generate_matrix
+m = generate_matrix("consph", scale=0.02).bitbsr
+h = hashlib.blake2b()
+for array in (m.block_row_pointers, m.block_cols, m.bitmaps, m.values):
+    h.update(array.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_default_seed_is_stable_across_processes():
+    """The default seed must not depend on Python's per-process str hash."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        out = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 class TestScaling:

@@ -10,7 +10,6 @@ from repro.errors import KernelError
 from repro.exec import ExecutionMode, execute, execute_chain
 from repro.formats.csr import CSRMatrix
 from repro.obs import get_registry, get_span_log, reset_observability
-from repro.robustness import dispatch_spmv
 
 
 @pytest.fixture
@@ -123,10 +122,11 @@ class TestEngineAndDispatchInstrumentation:
         assert resident.value(cache="engine:spaden") == engine.cache.resident_bytes > 0
 
     def test_dispatch_status_counter(self, csr, x_small):
-        dispatch_spmv(csr, x_small)
-        counter = get_registry().get("dispatch_total")
-        assert counter.value(status="clean") == 1
-        assert counter.value(status="degraded") == 0
+        """A verified dispatch is counted by outcome in exec_executions_total."""
+        execute_chain(csr, x_small, deep_verify=True)
+        counter = get_registry().get("exec_executions_total")
+        assert counter.value(kernel="spaden", mode="NUMERIC", status="ok") == 1
+        assert "exec_degradations_total" not in get_registry()  # nothing abandoned
 
 
 class TestBitwiseIdentity:

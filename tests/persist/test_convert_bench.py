@@ -6,7 +6,7 @@ import pytest
 
 from repro.bench import (
     ConvertBenchResult,
-    append_convert_trajectory,
+    append_trajectory,
     bench_convert,
     format_convert_report,
 )
@@ -64,8 +64,8 @@ class TestBenchConvert:
 class TestTrajectory:
     def test_append_creates_and_extends(self, result, tmp_path):
         path = tmp_path / "BENCH_convert.json"
-        assert append_convert_trajectory(path, result) == 1
-        assert append_convert_trajectory(path, result) == 2
+        assert append_trajectory(path, result, "bench") == 1
+        assert append_trajectory(path, result, "bench") == 2
         trajectory = json.loads(path.read_text())
         assert len(trajectory) == 2
         entry = trajectory[0]
@@ -77,11 +77,11 @@ class TestTrajectory:
         path = tmp_path / "BENCH_convert.json"
         path.write_text("not json at all")
         with pytest.raises(ObservabilityError):
-            append_convert_trajectory(path, result)
+            append_trajectory(path, result, "bench")
         assert path.read_text() == "not json at all"
 
     def test_refuses_to_clobber_non_list(self, result, tmp_path):
         path = tmp_path / "BENCH_convert.json"
         path.write_text('{"some": "dict"}')
         with pytest.raises(ObservabilityError):
-            append_convert_trajectory(path, result)
+            append_trajectory(path, result, "bench")

@@ -1,4 +1,4 @@
-"""Planner wiring through the dispatch consumers: engine, robustness, serve."""
+"""Planner wiring through the dispatch consumers: engine, chain walker, serve."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.engine import SpMVEngine
+from repro.exec import execute_chain
 from repro.plan import StructurePlanner
-from repro.robustness import dispatch_spmv
 from repro.serve import ServeFrontend
 from repro.serve.policy import FlushPolicy
 from repro.bench.plan import block_sweep_csr
@@ -73,31 +73,21 @@ class TestEnginePlanner:
         (kernel, (seconds, count)), = observed.items()
         assert count == 1 and seconds >= 0
 
-    def test_per_call_override_not_co_cached(self, problem):
-        csr, x = problem
-        override = CountingPlanner("L40")
-        engine = SpMVEngine()  # no engine-level planner
-        baseline = engine.spmv(csr, x)
-        engine.spmv_many([(csr, x)], planner=override)
-        engine.spmv_many([(csr, x)], planner=override)
-        assert override.plan_calls == 2  # override plans are not cached
-        # and the override path computes the same numbers
-        assert np.array_equal(
-            engine.spmv_many([(csr, x)], planner=override)[0], baseline
-        )
-
 
 class TestRobustnessPlanner:
+    """Plans walked by the verified dispatch entry point, ``execute_chain``."""
+
     def test_dispatch_accepts_planner(self, problem):
         csr, x = problem
-        result = dispatch_spmv(csr, x, planner=StructurePlanner("L40"))
+        plan = StructurePlanner("L40").plan(csr)
+        result = execute_chain(csr, x, plan, deep_verify=True)
         assert np.allclose(result.y, csr.matvec(x), rtol=1e-3, atol=1e-2)
         assert not result.degraded
 
     def test_planner_order_drives_attempts(self, problem):
         csr, x = problem
         planner = StructurePlanner("L40", candidates=("csr-scalar",))
-        result = dispatch_spmv(csr, x, planner=planner)
+        result = execute_chain(csr, x, planner.plan(csr), deep_verify=True)
         assert result.kernel == "csr-scalar"
         assert result.attempts == ["csr-scalar"]
 
@@ -122,29 +112,17 @@ class TestServePlanner:
             frontend.register_matrix("m", csr)
             assert frontend._policies["m"] == policy
 
-    def test_tenant_override_routes_through_engine(self, problem):
+    def test_batches_walk_the_engine_planner(self, problem):
         csr, x = problem
-        override = StructurePlanner("L40")
-        with ServeFrontend() as frontend:
+        planner = StructurePlanner("L40")
+        with ServeFrontend(SpMVEngine(planner=planner)) as frontend:
             frontend.register_matrix("m", csr)
-            frontend.set_tenant_planner("vip", override)
-            assert frontend.tenant_planner("vip") is override
-            plain = frontend.submit("m", x, tenant="default")
-            routed = frontend.submit("m", x, tenant="vip")
-            y_plain = plain.result(timeout=30)
-            y_routed = routed.result(timeout=30)
-        assert np.array_equal(y_plain, y_routed)
-        # the override collected feedback, proving its path was taken
-        assert override.observed()
-
-    def test_override_removal(self, problem):
-        csr, _x = problem
-        override = StructurePlanner("L40")
-        with ServeFrontend() as frontend:
-            frontend.register_matrix("m", csr)
-            frontend.set_tenant_planner("t", override)
-            frontend.set_tenant_planner("t", None)
-            assert frontend.tenant_planner("t") is None
+            tickets = [frontend.submit("m", x, tenant=t) for t in ("a", "b")]
+            ys = [ticket.result(timeout=30) for ticket in tickets]
+        reference = SpMVEngine(planner=StructurePlanner("L40")).spmv(csr, x)
+        assert all(np.array_equal(y, reference) for y in ys)
+        # every batch ran on the engine's own planner and fed it back
+        assert planner.observed()
 
 
 class TestFlushPolicyHints:

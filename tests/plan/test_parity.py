@@ -19,7 +19,7 @@ from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.kernels.base import get_kernel
 from repro.plan import StaticPlanner
-from repro.robustness import corrupt, dispatch_spmv, get_fault
+from repro.robustness import corrupt, get_fault
 
 from tests.conftest import make_random_dense
 
@@ -140,9 +140,15 @@ class TestDegradationParity:
 
     def test_degradation_events_field_identical(self, problem):
         csr, x = problem
-        bare = dispatch_spmv(csr, x, corrupt_hook=self._corrupting_hook())
-        planned = dispatch_spmv(
-            csr, x, planner=StaticPlanner(), corrupt_hook=self._corrupting_hook()
+        bare = execute_chain(
+            csr, x, deep_verify=True, faults=(self._corrupting_hook(),)
+        )
+        planned = execute_chain(
+            csr,
+            x,
+            StaticPlanner().plan(csr),
+            deep_verify=True,
+            faults=(self._corrupting_hook(),),
         )
         assert bare.degraded and planned.degraded
         assert np.array_equal(bare.y, planned.y)
@@ -151,11 +157,3 @@ class TestDegradationParity:
         # DegradationEvent is a dataclass: == compares kernel, stage,
         # cause, detail and fallback per event
         assert bare.events == planned.events
-
-    def test_explicit_chain_still_wins_over_planner(self, problem):
-        csr, x = problem
-        result = dispatch_spmv(
-            csr, x, chain=("csr-scalar",), planner=StaticPlanner()
-        )
-        assert result.kernel == "csr-scalar"
-        assert result.attempts == ["csr-scalar"]

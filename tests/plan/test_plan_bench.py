@@ -6,8 +6,8 @@ import json
 
 import pytest
 
+from repro.bench import append_trajectory
 from repro.bench.plan import (
-    append_plan_trajectory,
     bench_plan_crossover,
     block_sweep_csr,
     format_plan_report,
@@ -87,8 +87,8 @@ class TestTrajectoryArtifact:
 
     def test_appends_and_grows(self, tmp_path, result):
         path = tmp_path / "BENCH_plan.json"
-        assert append_plan_trajectory(path, result) == 1
-        assert append_plan_trajectory(path, result) == 2
+        assert append_trajectory(path, result, "bench") == 1
+        assert append_trajectory(path, result, "bench") == 2
         doc = json.loads(path.read_text())
         assert isinstance(doc, list) and len(doc) == 2
         assert doc[0]["bench"]["within_tolerance"] is True
@@ -98,11 +98,11 @@ class TestTrajectoryArtifact:
         path = tmp_path / "BENCH_plan.json"
         path.write_text('{"not": "a list"}')
         with pytest.raises(ObservabilityError):
-            append_plan_trajectory(path, result)
+            append_trajectory(path, result, "bench")
         assert path.read_text() == '{"not": "a list"}'  # untouched
 
     def test_refuses_invalid_json(self, tmp_path, result):
         path = tmp_path / "BENCH_plan.json"
         path.write_text("not json at all")
         with pytest.raises(ObservabilityError):
-            append_plan_trajectory(path, result)
+            append_trajectory(path, result, "bench")

@@ -4,11 +4,8 @@ import json
 
 import pytest
 
-from repro.bench.chaos import (
-    append_chaos_trajectory,
-    bench_chaos,
-    format_chaos_report,
-)
+from repro.bench import append_trajectory
+from repro.bench.chaos import bench_chaos, format_chaos_report
 from repro.errors import ObservabilityError
 
 
@@ -69,8 +66,8 @@ class TestInvariants:
 class TestTrajectory:
     def test_append_accumulates_and_round_trips(self, campaign, tmp_path):
         path = tmp_path / "BENCH_chaos.json"
-        assert append_chaos_trajectory(path, campaign) == 1
-        assert append_chaos_trajectory(path, campaign) == 2
+        assert append_trajectory(path, campaign, "campaign") == 1
+        assert append_trajectory(path, campaign, "campaign") == 2
         trajectory = json.loads(path.read_text())
         assert len(trajectory) == 2
         assert trajectory[0]["campaign"] == trajectory[1]["campaign"]
@@ -80,10 +77,10 @@ class TestTrajectory:
         path = tmp_path / "BENCH_chaos.json"
         path.write_text('{"not": "a trajectory"}')
         with pytest.raises(ObservabilityError):
-            append_chaos_trajectory(path, campaign)
+            append_trajectory(path, campaign, "campaign")
         path.write_text("not json at all")
         with pytest.raises(ObservabilityError):
-            append_chaos_trajectory(path, campaign)
+            append_trajectory(path, campaign, "campaign")
 
 
 class TestReport:

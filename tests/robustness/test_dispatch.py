@@ -1,8 +1,9 @@
-"""Graceful-degradation dispatcher tests.
+"""Graceful-degradation dispatch tests, through :func:`repro.exec.execute_chain`.
 
-The dispatcher's contract: injecting *any* registered fault into an
-SpMV run yields a correct ``y`` through the fallback chain — degraded,
-logged, never crashed.
+The contract: injecting *any* registered fault into an SpMV run yields
+a correct ``y`` through the fallback chain — degraded, logged, never
+crashed.  ``deep_verify=True`` runs the deep format verifiers on every
+attempt, so corruption surfaces at the verify stage.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ import numpy as np
 import pytest
 
 from repro.errors import KernelError
+from repro.exec import ExecutionMode, default_chain, execute_chain
 from repro.formats.base import SparseMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.robustness import (
-    DEFAULT_CHAIN,
     available_faults,
     corrupt,
-    dispatch_spmv,
     get_fault,
     inject_lane_fault,
 )
@@ -62,11 +62,10 @@ def _hook_for(fault_name, seed=9, once=True):
 
 def test_clean_dispatch_uses_primary(problem):
     csr, x, ref = problem
-    result = dispatch_spmv(csr, x)
-    assert result.kernel == DEFAULT_CHAIN[0]
+    result = execute_chain(csr, x, deep_verify=True)
+    assert result.kernel == default_chain()[0]
     assert not result.degraded and result.events == []
     assert result.attempts == ["spaden"]
-    assert result.stats.degradations == 0
     assert _close(result.y, ref)
 
 
@@ -78,7 +77,7 @@ def test_any_fault_still_yields_correct_y(problem, fault):
     chain must degrade (when the fault touches an attempted kernel's
     operand) and the result must stay correct."""
     csr, x, ref = problem
-    result = dispatch_spmv(csr, x, corrupt_hook=_hook_for(fault))
+    result = execute_chain(csr, x, deep_verify=True, faults=(_hook_for(fault),))
     assert _close(result.y, ref)
     touched = get_fault(fault).formats
     if "bitbsr" in touched:
@@ -89,13 +88,12 @@ def test_any_fault_still_yields_correct_y(problem, fault):
         causes = {e.cause for e in result.events}
         detected = {t.__name__ for t in get_fault(fault).detected_by}
         assert causes & detected
-        assert result.stats.degradation_log == result.events
 
 
 def test_lane_fault_degrades_tensor_core_kernels(problem):
     csr, x, ref = problem
     with inject_lane_fault(seed=4):
-        result = dispatch_spmv(csr, x)
+        result = execute_chain(csr, x, deep_verify=True)
     assert result.kernel == "spaden-no-tc"
     assert [e.kernel for e in result.events] == ["spaden"]
     assert result.events[0].stage == "verify"
@@ -107,8 +105,8 @@ def test_lane_fault_degrades_tensor_core_kernels(problem):
 def test_events_record_stage_cause_fallback(problem):
     csr, x, ref = problem
     # a persistent corruption: every bitBSR conversion comes out damaged
-    result = dispatch_spmv(
-        csr, x, corrupt_hook=_hook_for("bitmap-bit-flip", once=False)
+    result = execute_chain(
+        csr, x, deep_verify=True, faults=(_hook_for("bitmap-bit-flip", once=False),)
     )
     assert len(result.events) == 2  # spaden and spaden-no-tc both fail
     for event, expected_kernel in zip(result.events, ("spaden", "spaden-no-tc")):
@@ -125,13 +123,13 @@ def test_overflow_surfaces_at_run_stage_when_verify_skipped(problem):
     """With verification off, an Inf operand reaches the tensor-core
     accumulator and the MMA overflow check triggers the fallback."""
     csr, x, ref = problem
-    result = dispatch_spmv(
+    result = execute_chain(
         csr,
         x,
-        chain=("spaden", "csr-scalar"),
-        deep_verify=False,
-        simulate=True,
-        corrupt_hook=_hook_for("value-inf"),
+        ("spaden", "csr-scalar"),
+        mode=ExecutionMode.SIMULATED,
+        check_overflow=True,
+        faults=(_hook_for("value-inf"),),
     )
     assert result.kernel == "csr-scalar"
     assert result.events[0].stage in ("run", "check")
@@ -150,18 +148,26 @@ def test_chain_exhaustion_raises_kernel_error(problem):
                 prepared.data, _ = corrupt(data, fault, seed=1)
 
     with pytest.raises(KernelError, match="all kernels in chain"):
-        dispatch_spmv(csr, x, chain=("spaden", "cusparse-csr"), corrupt_hook=poison_everything)
+        execute_chain(
+            csr,
+            x,
+            ("spaden", "cusparse-csr"),
+            deep_verify=True,
+            faults=(poison_everything,),
+        )
 
 
 def test_empty_chain_rejected(problem):
     csr, x, _ = problem
     with pytest.raises(KernelError, match="empty"):
-        dispatch_spmv(csr, x, chain=())
+        execute_chain(csr, x, (), deep_verify=True)
 
 
 def test_simulated_dispatch_returns_real_stats(problem):
     csr, x, ref = problem
-    result = dispatch_spmv(csr, x, simulate=True)
+    result = execute_chain(
+        csr, x, mode=ExecutionMode.SIMULATED, check_overflow=True, deep_verify=True
+    )
     assert result.kernel == "spaden"
     assert result.stats.mma_ops > 0
     assert result.stats.warps_launched > 0

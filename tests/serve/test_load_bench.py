@@ -12,8 +12,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.bench import append_trajectory
 from repro.bench.load import (
-    append_serve_trajectory,
     bench_load,
     format_load_report,
     zipf_weights,
@@ -92,8 +92,8 @@ class TestInvariants:
 class TestTrajectory:
     def test_append_accumulates_and_round_trips(self, campaign, tmp_path):
         path = tmp_path / "BENCH_serve.json"
-        assert append_serve_trajectory(path, campaign) == 1
-        assert append_serve_trajectory(path, campaign) == 2
+        assert append_trajectory(path, campaign, "campaign") == 1
+        assert append_trajectory(path, campaign, "campaign") == 2
         trajectory = json.loads(path.read_text())
         assert len(trajectory) == 2
         assert trajectory[0]["campaign"] == trajectory[1]["campaign"]
@@ -108,10 +108,10 @@ class TestTrajectory:
         path = tmp_path / "BENCH_serve.json"
         path.write_text('{"not": "a trajectory"}')
         with pytest.raises(ObservabilityError):
-            append_serve_trajectory(path, campaign)
+            append_trajectory(path, campaign, "campaign")
         path.write_text("not json at all")
         with pytest.raises(ObservabilityError):
-            append_serve_trajectory(path, campaign)
+            append_trajectory(path, campaign, "campaign")
 
 
 class TestReport:
