@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.core.builder import build_bitbsr
 from repro.core.spmv import spaden_spmv, spaden_spmv_simulated
-from repro.formats.convert import to_scipy
+from repro.formats.convert import convert, to_scipy
 from repro.formats.memory import format_footprint
 from repro.kernels import get_kernel
 from repro.gpu.spec import get_gpu
@@ -52,10 +52,10 @@ def main() -> None:
 
     # 3. memory footprint vs CSR (the Fig. 10b comparison)
     for name in ("csr", "bitbsr"):
-        print(format_footprint(coo.convert(name)))
+        print(format_footprint(convert(coo, name)))
 
     # 4. modeled performance on the paper's GPUs
-    csr = coo.convert("csr")
+    csr = convert(coo, "csr")
     x32 = x.astype(np.float32)
     for kernel_name in ("spaden", "cusparse-csr"):
         kernel = get_kernel(kernel_name)

@@ -155,8 +155,6 @@ def _cmd_formats(args) -> int:
     coo = g.csr.tocoo()
     rows = []
     for fmt in available_formats():
-        if fmt == "dia":
-            continue  # scattered matrices overflow DIA
         report = format_footprint(convert(coo, fmt))
         rows.append({"format": fmt, "bytes": report.total_bytes, "B/nnz": round(report.bytes_per_nnz, 2)})
     print(format_table(rows, title=f"{args.matrix} across formats (scale={args.scale})"))
@@ -178,8 +176,6 @@ def _cmd_verify(args) -> int:
     print(f"deep-verifying {args.matrix} (scale={args.scale}, nnz={g.nnz:,})")
     failures = 0
     for fmt in available_formats():
-        if fmt == "dia":
-            continue  # scattered matrices overflow DIA
         try:
             convert(coo, fmt).verify(deep=True)
             print(f"  {fmt:<14} ok")

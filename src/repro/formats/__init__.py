@@ -1,26 +1,22 @@
 """Sparse-matrix storage formats.
 
-Implements every format the paper discusses (§2.1, §4.2 and the GPU-SpMV
-survey it cites): COO, CSR, CSC, ELL, HYB, DIA, BSR — plus the paper's
-contribution, bitBSR (bitmap-compressed blocked CSR), and the future-work
-bitCOO variant (§7).
+Holds only the formats the paper's evaluation runs: CSR (§2.1, the input
+of every kernel), COO (the conversion hub and MatrixMarket I/O), BSR
+(the cuSPARSE-BSR baseline and the block-size ablation), the paper's
+contribution bitBSR (bitmap-compressed blocked CSR, §4.2), and the
+bitCOO variant the paper proposes as future work (§7).
 
 All formats share the :class:`~repro.formats.base.SparseMatrix` interface:
 construction from / conversion to COO, a dense materialization, a
-reference ``matvec`` and byte-exact memory accounting.
+reference ``matvec`` and byte-exact memory accounting.  Conversion
+between them goes through :func:`~repro.formats.convert.convert`.
 """
 
 from repro.formats.base import SparseMatrix, available_formats, get_format, register_format
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
-from repro.formats.csc import CSCMatrix
-from repro.formats.ell import ELLMatrix
-from repro.formats.hyb import HYBMatrix
-from repro.formats.dia import DIAMatrix
 from repro.formats.bsr import BSRMatrix
-from repro.formats.sell import SELLMatrix
 from repro.formats.bitbsr import BitBSRMatrix
-from repro.formats.bitbsr_multi import GenericBitBSRMatrix
 from repro.formats.bitcoo import BitCOOMatrix
 from repro.formats.convert import convert, from_dense, from_scipy, to_scipy
 from repro.formats.memory import FootprintReport, format_footprint
@@ -29,14 +25,8 @@ __all__ = [
     "SparseMatrix",
     "COOMatrix",
     "CSRMatrix",
-    "CSCMatrix",
-    "ELLMatrix",
-    "HYBMatrix",
-    "DIAMatrix",
     "BSRMatrix",
-    "SELLMatrix",
     "BitBSRMatrix",
-    "GenericBitBSRMatrix",
     "BitCOOMatrix",
     "available_formats",
     "get_format",

@@ -78,7 +78,8 @@ class SparseMatrix(ABC):
 
     Subclasses store a 2-D sparse matrix and provide:
 
-    * ``from_coo`` / ``tocoo`` so any pair of formats can interconvert,
+    * ``from_coo`` / ``tocoo`` so any pair of formats can interconvert
+      (through :func:`repro.formats.convert.convert`),
     * ``todense`` for reference comparisons,
     * ``matvec`` — a NumPy reference SpMV with the format's natural
       traversal order (the GPU kernels in :mod:`repro.kernels` model the
@@ -134,13 +135,6 @@ class SparseMatrix(ABC):
     def todense(self) -> np.ndarray:
         """Materialize as a dense float32 array (small matrices only)."""
         return self.tocoo().todense()
-
-    def convert(self, name: str) -> "SparseMatrix":
-        """Convert to any registered format by name."""
-        cls = get_format(name)
-        if isinstance(self, cls):
-            return self
-        return cls.from_coo(self.tocoo())
 
     def config_matches(self, **kwargs) -> bool:
         """Whether construction ``kwargs`` describe this instance's config.

@@ -6,7 +6,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.errors import FormatError
+from repro.errors import FormatError, VerificationError
 from repro.formats.base import ArrayField, SparseMatrix, register_format
 from repro.utils.validation import ensure_1d, ensure_dtype, ensure_nonnegative
 
@@ -100,6 +100,13 @@ class COOMatrix(SparseMatrix):
         # canonical COO is sorted by (row, col) with no duplicates
         keys = self.rows.astype(np.int64) * self.ncols + self.cols.astype(np.int64)
         self._check_monotone(keys, "entry order (row, col)")
+        ties = np.diff(keys) == 0
+        if ties.any():
+            pos = int(np.argmax(ties)) + 1
+            raise VerificationError(
+                f"coo: duplicate entry at {at(pos)}",
+                format_name=self.format_name, check="duplicate-entry", coord=at(pos),
+            )
         self._check_finite(self.values, "values", coords=at)
 
     def storage_fields(self) -> Iterator[ArrayField]:

@@ -6,7 +6,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.errors import FormatError
+from repro.errors import FormatError, VerificationError
 from repro.formats.base import ArrayField, SparseMatrix, register_format
 from repro.formats.coo import COOMatrix
 from repro.utils.scan import exclusive_scan, segment_ids
@@ -21,7 +21,10 @@ class CSRMatrix(SparseMatrix):
 
     ``row_pointers`` has ``nrows + 1`` entries; row ``i`` owns the slice
     ``[row_pointers[i], row_pointers[i + 1])`` of the other two arrays.
-    Column indices are kept sorted within each row.
+    Column indices should strictly increase within each row.  The
+    constructor does not check this (it costs a pass over every entry);
+    ``tocoo`` canonicalizes a matrix that breaks it, and
+    ``verify(deep=True)`` reports its first offending entry.
     """
 
     format_name = "csr"
@@ -74,7 +77,11 @@ class CSRMatrix(SparseMatrix):
 
     def tocoo(self) -> COOMatrix:
         rows = segment_ids(self.row_pointers).astype(np.int32)
-        return COOMatrix(self.shape, rows, self.col_indices.copy(), self.values.copy(), canonical=True)
+        # the constructor does not enforce sorted, duplicate-free rows, so
+        # canonical order is claimed only after checking it; otherwise COO
+        # sorts the entries and sums the duplicates
+        canonical = self._first_unordered_entry() is None
+        return COOMatrix(self.shape, rows, self.col_indices.copy(), self.values.copy(), canonical=canonical)
 
     # -- interface --------------------------------------------------------------
     @property
@@ -147,6 +154,27 @@ class CSRMatrix(SparseMatrix):
         row_of = lambda pos: (int(np.searchsorted(self.row_pointers, pos, side="right") - 1), int(self.col_indices[pos]))
         self._check_index_range(self.col_indices, self.ncols, "column index", coords=row_of)
         self._check_finite(self.values, "values", coords=row_of)
+        # last, so a fault that also breaks the order (an out-of-range
+        # column) still raises the error class its model declares
+        pos = self._first_unordered_entry()
+        if pos is not None:
+            raise VerificationError(
+                f"csr: entry {row_of(pos)} does not exceed the column before it in its row "
+                "(unsorted or duplicate entry)",
+                format_name=self.format_name, check="column-order", coord=row_of(pos),
+            )
+
+    def _first_unordered_entry(self) -> int | None:
+        """Position of the first entry whose column does not strictly
+        exceed its predecessor's in the same row, or ``None``."""
+        cols = self.col_indices
+        if cols.size < 2:
+            return None
+        bad = cols[1:] <= cols[:-1]
+        # an entry that opens a row restarts the order
+        starts = self.row_pointers[1:-1]
+        bad[starts[(starts > 0) & (starts < cols.size)] - 1] = False
+        return int(np.argmax(bad)) + 1 if bad.any() else None
 
     def row_slice(self, row: int) -> tuple[np.ndarray, np.ndarray]:
         """(col_indices, values) of one row — used by scalar kernels."""

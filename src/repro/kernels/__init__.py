@@ -21,15 +21,11 @@ from repro.kernels.base import (
     get_kernel,
     register_kernel,
 )
-from repro.kernels.coo import COOKernel
 from repro.kernels.csr_scalar import CSRScalarKernel
 from repro.kernels.csr_vector import CuSparseCSRKernel
-from repro.kernels.ell import ELLKernel
-from repro.kernels.hyb import HYBKernel
 from repro.kernels.csr_warp16 import CSRWarp16Kernel
 from repro.kernels.lightspmv import LightSpMVKernel
 from repro.kernels.gunrock import GunrockSpMVKernel
-from repro.kernels.sell import SELLKernel
 from repro.kernels.bsr import CuSparseBSRKernel
 from repro.kernels.dasp import DASPKernel
 from repro.kernels.spaden import SpadenKernel
@@ -43,15 +39,11 @@ __all__ = [
     "available_kernels",
     "get_kernel",
     "register_kernel",
-    "COOKernel",
     "CSRScalarKernel",
     "CuSparseCSRKernel",
-    "ELLKernel",
-    "HYBKernel",
     "CSRWarp16Kernel",
     "LightSpMVKernel",
     "GunrockSpMVKernel",
-    "SELLKernel",
     "CuSparseBSRKernel",
     "DASPKernel",
     "SpadenKernel",

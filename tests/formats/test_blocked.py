@@ -1,16 +1,12 @@
-"""BSR / bitCOO / ELL / HYB / DIA specific behaviour."""
+"""BSR and bitCOO specific behaviour."""
 
 import numpy as np
 import pytest
 
 from repro.constants import BLOCK_DIM
-from repro.errors import FormatError
 from repro.formats.bitcoo import BitCOOMatrix
 from repro.formats.bsr import BSRMatrix
 from repro.formats.coo import COOMatrix
-from repro.formats.dia import DIAMatrix
-from repro.formats.ell import ELLMatrix
-from repro.formats.hyb import HYBMatrix
 
 from tests.conftest import make_random_dense
 
@@ -63,55 +59,3 @@ class TestBitCOO:
         bc = BitCOOMatrix.from_coo(small_coo)
         assert bc.block_rows.size == bc.nblocks
         assert bc.nbytes > 0
-
-
-class TestELL:
-    def test_width_is_max_row_length(self, small_coo):
-        ell = small_coo.convert("ell")
-        assert ell.width == int(small_coo.row_counts().max())
-
-    def test_padding_ratio(self, small_coo):
-        ell = small_coo.convert("ell")
-        expected = 1 - small_coo.nnz / (small_coo.nrows * ell.width)
-        assert ell.padding_ratio == pytest.approx(expected)
-
-    def test_rejects_nonzero_padding_values(self):
-        with pytest.raises(FormatError):
-            ELLMatrix((1, 4), np.array([[-1]], np.int32), np.array([[2.0]], np.float32))
-
-
-class TestHYB:
-    def test_split_preserves_total(self, medium_coo):
-        hyb = medium_coo.convert("hyb")
-        assert hyb.ell.nnz + hyb.tail.nnz == medium_coo.nnz
-
-    def test_custom_width(self, medium_coo):
-        hyb = HYBMatrix.from_coo(medium_coo, width=2)
-        assert hyb.ell.width == 2
-        assert np.allclose(hyb.todense(), medium_coo.todense())
-
-    def test_ell_fraction_bounds(self, medium_coo):
-        hyb = medium_coo.convert("hyb")
-        assert 0 < hyb.ell_fraction <= 1
-
-
-class TestDIA:
-    def test_banded_matrix_is_compact(self):
-        n = 32
-        dense = np.zeros((n, n), dtype=np.float32)
-        for off in (-1, 0, 2):
-            idx = np.arange(n - abs(off))
-            dense[idx + max(0, -off), idx + max(0, off)] = 5.0 + off
-        dia = DIAMatrix.from_coo(COOMatrix.from_dense(dense))
-        assert dia.ndiags == 3
-        assert sorted(dia.offsets.tolist()) == [-1, 0, 2]
-        assert np.allclose(dia.todense(), dense)
-
-    def test_refuses_scatter_explosion(self, rng):
-        DIAMatrix.MAX_DIAGONALS, saved = 4, DIAMatrix.MAX_DIAGONALS
-        try:
-            dense = make_random_dense(rng, 30, 30, 0.5)
-            with pytest.raises(FormatError):
-                DIAMatrix.from_coo(COOMatrix.from_dense(dense))
-        finally:
-            DIAMatrix.MAX_DIAGONALS = saved

@@ -13,7 +13,6 @@ from repro.formats.bitbsr import BitBSRMatrix
 from repro.formats.bsr import BSRMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.coo import COOMatrix
-from repro.formats.sell import SELLMatrix
 
 from tests.conftest import make_random_dense
 
@@ -27,7 +26,6 @@ def clean(rng):
         "csr": CSRMatrix.from_coo(coo),
         "bsr": BSRMatrix.from_coo(coo),
         "bitbsr": BitBSRMatrix.from_coo(coo),
-        "sell": SELLMatrix.from_coo(coo, c=8, sigma=16),
     }
 
 
@@ -113,20 +111,3 @@ class TestBSRCorruption:
         b = clean["bsr"]
         with pytest.raises(FormatError):
             BSRMatrix(b.shape, b.block_row_pointers, b.block_cols[:-1], b.blocks)
-
-
-class TestSELLCorruption:
-    def test_broken_permutation(self, clean):
-        s = clean["sell"]
-        bad = s.permutation.copy()
-        bad[0] = bad[1]
-        with pytest.raises(FormatError):
-            SELLMatrix(s.shape, bad, s.slice_pointers, s.slice_widths, s.col_indices, s.values, c=s.c)
-
-    def test_grid_width_mismatch(self, clean):
-        s = clean["sell"]
-        with pytest.raises(FormatError):
-            SELLMatrix(
-                s.shape, s.permutation, s.slice_pointers, s.slice_widths,
-                s.col_indices[:-1], s.values[:-1], c=s.c,
-            )

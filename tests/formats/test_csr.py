@@ -27,6 +27,16 @@ class TestConstruction:
             CSRMatrix((2, 2), np.array([0, 1, 1]), np.array([7], np.int32), np.array([1.0], np.float32))
 
 
+class TestToCOO:
+    def test_unordered_rows_are_canonicalized(self):
+        csr = CSRMatrix((2, 8), [0, 2, 4], [3, 3, 5, 1], [1, 2, 3, 4])
+        coo = csr.tocoo()
+        assert coo.rows.tolist() == [0, 1, 1]
+        assert coo.cols.tolist() == [3, 1, 5]
+        assert coo.values.tolist() == [3.0, 4.0, 3.0]  # duplicate summed
+        coo.verify(deep=True)
+
+
 class TestAgainstScipy:
     def test_matvec_matches_scipy(self, small_coo, x_small):
         csr = CSRMatrix.from_coo(small_coo)

@@ -121,35 +121,11 @@ class TestConvertNoOp:
         assert convert(bsr, "bsr", block_dim=4) is bsr
         assert convert(bsr, "bsr", block_dim=8) is not bsr
 
-    def test_bitbsr_generic_both_kwargs(self, rng):
-        coo = COOMatrix.from_dense(make_random_dense(rng, 24, 24))
-        g = convert(coo, "bitbsr-generic", block_dim=4, value_dtype=np.float16)
-        assert convert(g, "bitbsr-generic", block_dim=4) is g
-        assert convert(g, "bitbsr-generic", block_dim=4, value_dtype=np.float16) is g
-        assert convert(g, "bitbsr-generic", block_dim=8) is not g
-        assert convert(g, "bitbsr-generic", block_dim=4, value_dtype=np.float32) is not g
-
     def test_bitcoo_value_dtype(self, rng):
         coo = COOMatrix.from_dense(make_random_dense(rng, 24, 24))
         bc = convert(coo, "bitcoo")
         assert convert(bc, "bitcoo", value_dtype=np.float16) is bc
         assert convert(bc, "bitcoo", value_dtype=np.float32) is not bc
-
-    def test_hyb_width(self, rng):
-        coo = COOMatrix.from_dense(make_random_dense(rng, 24, 24))
-        hyb = convert(coo, "hyb", width=3)
-        assert convert(hyb, "hyb", width=3) is hyb
-        assert convert(hyb, "hyb", width=4) is not hyb
-        # width=None re-derives from the data: conservatively a rebuild
-        assert convert(hyb, "hyb", width=None) is not hyb
-
-    def test_sell_c_and_sigma(self, rng):
-        coo = COOMatrix.from_dense(make_random_dense(rng, 64, 24))
-        sell = convert(coo, "sell", c=8)
-        assert convert(sell, "sell", c=8) is sell
-        assert convert(sell, "sell", c=4) is not sell
-        # sigma is not recorded on the instance: conservatively a rebuild
-        assert convert(sell, "sell", c=8, sigma=16) is not sell
 
     def test_unknown_kwargs_rebuild_not_raise_in_matcher(self, rng):
         bit = convert(_csr(rng, 16, 16), "bitbsr")

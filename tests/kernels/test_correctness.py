@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import KernelError
+from repro.errors import KernelError, ReproError
 from repro.formats.convert import to_scipy
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
@@ -58,6 +58,19 @@ class TestEveryKernel:
         prep = kernel.prepare(csr)
         with pytest.raises(KernelError):
             kernel.run(prep, np.ones(csr.ncols + 3, dtype=np.float32))
+
+    def test_unordered_row_never_gives_a_wrong_y(self, name):
+        """Row 0 repeats column 3 and row 1 lists its columns backwards,
+        breaking CSR's sorted-rows promise: a kernel may reject such a
+        matrix, but must never answer something other than ``matvec``."""
+        csr = CSRMatrix((2, 8), [0, 2, 4], [3, 3, 5, 1], [1, 2, 3, 4])
+        x = np.arange(8, dtype=np.float32)
+        kernel = get_kernel(name)
+        try:
+            y = kernel.run(kernel.prepare(csr), x)
+        except ReproError:
+            return
+        assert np.array_equal(y, csr.matvec(x)), name
 
 
 @settings(max_examples=10, deadline=None)

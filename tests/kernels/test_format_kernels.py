@@ -1,82 +1,14 @@
-"""Behavioural tests specific to the format-zoo kernels (COO/ELL/HYB/
-SELL) and the WMMA-path Spaden variant."""
+"""Behavioural tests specific to the WMMA-path Spaden variant (the §3
+WMMA-vs-direct-register ablation)."""
 
 import numpy as np
-import pytest
 
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.kernels import get_kernel
 from repro.matrices.generators import fp16_exact_values
-from repro.matrices.random import random_banded
 
 from tests.conftest import make_random_dense
-
-
-def skewed_csr(rng, n=256):
-    """A few heavy rows on a sparse background — ELL's nightmare."""
-    dense = make_random_dense(rng, n, n, 0.01)
-    dense[::64, :] = 1.0
-    return CSRMatrix.from_coo(COOMatrix.from_dense(dense))
-
-
-class TestELLvsSELL:
-    def test_sell_moves_less_data_on_skew(self, rng):
-        csr = skewed_csr(rng)
-        x = fp16_exact_values(rng, csr.ncols)
-        ell = get_kernel("ell")
-        sell = get_kernel("sell")
-        p_ell = ell.profile(ell.prepare(csr), x)
-        p_sell = sell.profile(sell.prepare(csr), x)
-        assert p_sell.dram_load_bytes < p_ell.dram_load_bytes
-
-    def test_ell_fine_on_uniform_rows(self, rng):
-        coo = random_banded(256, 12, fill=1.0, seed=5)  # constant row length
-        csr = CSRMatrix.from_coo(coo)
-        x = fp16_exact_values(rng, 256)
-        ell = get_kernel("ell")
-        prep = ell.prepare(csr)
-        assert prep.data.padding_ratio < 0.05
-
-    def test_sell_memory_bounded_by_ell(self, rng):
-        csr = skewed_csr(rng)
-        ell_bytes = get_kernel("ell").prepare(csr).device_bytes
-        sell_bytes = get_kernel("sell").prepare(csr).device_bytes
-        assert sell_bytes < ell_bytes
-
-
-class TestCOOKernel:
-    def test_atomics_counted_per_nonzero(self, rng):
-        dense = make_random_dense(rng, 64, 64, 0.1)
-        csr = CSRMatrix.from_coo(COOMatrix.from_dense(dense))
-        x = fp16_exact_values(rng, 64)
-        kernel = get_kernel("coo")
-        profile = kernel.profile(kernel.prepare(csr), x)
-        assert profile.stats.atomic_ops == csr.nnz
-
-    def test_atomic_pressure_slows_it_down(self, rng):
-        from repro.gpu.spec import get_gpu
-        from repro.perf import estimate_time
-
-        dense = make_random_dense(rng, 128, 128, 0.2)
-        csr = CSRMatrix.from_coo(COOMatrix.from_dense(dense))
-        x = fp16_exact_values(rng, 128)
-        coo_k = get_kernel("coo")
-        csr_k = get_kernel("cusparse-csr")
-        t_coo = estimate_time(coo_k.profile(coo_k.prepare(csr), x), get_gpu("L40"))
-        t_csr = estimate_time(csr_k.profile(csr_k.prepare(csr), x), get_gpu("L40"))
-        assert t_coo.atomic > t_csr.atomic
-
-
-class TestHYBKernel:
-    def test_tail_fraction_drives_atomics(self, rng):
-        csr = skewed_csr(rng)
-        x = fp16_exact_values(rng, csr.ncols)
-        kernel = get_kernel("hyb")
-        prep = kernel.prepare(csr)
-        profile = kernel.profile(prep, x)
-        assert profile.stats.atomic_ops == prep.data.tail.nnz
-        assert prep.data.tail.nnz > 0  # the heavy rows overflow the width
 
 
 class TestSpadenWMMAVariant:

@@ -19,6 +19,7 @@ from repro.errors import (
     NumericalError,
     OffsetScanError,
     PointerMonotonicityError,
+    VerificationError,
 )
 from repro.formats import available_formats, convert
 from repro.formats.coo import COOMatrix
@@ -35,21 +36,8 @@ def coo():
 
 def test_all_formats_verify_clean(coo):
     for fmt in available_formats():
-        if fmt == "dia":
-            continue  # scattered matrices overflow DIA
         matrix = convert(coo, fmt)
         assert matrix.verify(deep=True) is matrix  # chains
-
-
-def test_dia_verifies_clean():
-    rng = np.random.default_rng(7)
-    n = 40
-    dense = np.zeros((n, n), dtype=np.float32)
-    for off in (-2, 0, 3):
-        idx = np.arange(n)
-        keep = (idx + off >= 0) & (idx + off < n)
-        dense[idx[keep], idx[keep] + off] = rng.standard_normal(keep.sum()).astype(np.float32)
-    convert(COOMatrix.from_dense(dense), "dia").verify(deep=True)
 
 
 def test_shallow_verify_is_default(coo):
@@ -87,6 +75,26 @@ def test_index_range_error_names_the_slot(coo):
     assert 5 in excinfo.value.coord or excinfo.value.coord  # slot recorded
 
 
+@pytest.mark.parametrize(
+    "last_row, coord", [([5, 1], (3, 1)), ([2, 2], (3, 2))], ids=["swap", "duplicate"]
+)
+def test_csr_unordered_row_names_the_entry(last_row, coord):
+    # row 1 is empty and row 2 restarts below row 0's columns: both legal
+    csr = CSRMatrix((4, 6), [0, 2, 2, 4, 6], [4, 5, 0, 3] + last_row, [1, 2, 3, 4, 5, 6])
+    with pytest.raises(VerificationError) as excinfo:
+        csr.verify(deep=True)
+    assert excinfo.value.check == "column-order"
+    assert excinfo.value.coord == coord
+
+
+def test_coo_duplicate_entry_is_rejected():
+    dup = COOMatrix((2, 4), [0, 1, 1], [3, 2, 2], [1.0, 2.0, 3.0], canonical=True)
+    with pytest.raises(VerificationError) as excinfo:
+        dup.verify(deep=True)
+    assert excinfo.value.check == "duplicate-entry"
+    assert excinfo.value.coord == (1, 2)
+
+
 def test_bitmap_popcount_mismatch(coo):
     bit = build_bitbsr(CSRMatrix.from_coo(coo)).matrix
     bit.bitmaps[0] ^= np.uint64(1) << np.uint64(63)
@@ -100,15 +108,6 @@ def test_offset_scan_mismatch(coo):
     with pytest.raises(OffsetScanError) as excinfo:
         bit.verify(deep=True)
     assert excinfo.value.coord  # identifies the offending block
-
-
-def test_hyb_delegates_to_parts(coo):
-    hyb = convert(coo, "hyb")
-    hyb.verify(deep=True)
-    if hyb.tail.nnz:
-        hyb.tail.values[0] = np.inf
-        with pytest.raises(NonFiniteValueError):
-            hyb.verify(deep=True)
 
 
 def test_mma_overflow_names_lane_and_register():
