@@ -2,7 +2,7 @@
 
 The paper times one ``y = Ax`` per kernel launch; this harness measures
 the serving-path win the :class:`~repro.engine.SpMVEngine` adds on top —
-one bitBSR decode (``prepare``) reused across a same-matrix micro-batch,
+one bitBSR conversion (``prepare``) reused across a same-matrix micro-batch,
 plus the operand cache turning repeat traffic into hits.
 
 Three measurements per configuration:

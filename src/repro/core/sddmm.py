@@ -59,9 +59,9 @@ def spaden_sddmm(
     products = np.einsum("ek,ek->e", Ur[rows].astype(np.float64), Vr[cols].astype(np.float64))
     return BitBSRMatrix(
         pattern.shape,
-        pattern.block_row_pointers.copy(),
-        pattern.block_cols.copy(),
-        pattern.bitmaps.copy(),
+        pattern.block_row_pointers,
+        pattern.block_cols,
+        pattern.bitmaps,
         products.astype(pattern.value_dtype),
         value_dtype=pattern.value_dtype,
     )

@@ -8,7 +8,10 @@ Two execution paths share the same semantics:
   algorithm and the source of exact traffic counters, but it is a Python
   loop over warps, so use it for verification-scale matrices.
 * :func:`spaden_spmv` is the vectorized NumPy equivalent (identical
-  arithmetic, batch-decoded blocks) used for full-scale benchmarking.
+  arithmetic) used for full-scale benchmarking.  It runs on the matrix's
+  memoized :meth:`~repro.formats.bitbsr.BitBSRMatrix.run_view`, so the
+  bitmaps are decoded once per matrix, not once per call;
+  :func:`spaden_spmv_many` is a loop over it.
 
 Both honor the mixed-precision pipeline: bitBSR stores half-precision
 values, fragment B receives a half-precision x, products accumulate in
@@ -24,7 +27,7 @@ from repro.errors import KernelError
 from repro.formats.bitbsr import BitBSRMatrix
 from repro.gpu.counters import ExecutionStats
 from repro.gpu.memory import GlobalMemory
-from repro.gpu.mma import MMAUnit, Precision
+from repro.gpu.mma import MMAUnit, Precision, round_inputs
 from repro.gpu.warp import Warp
 from repro.core.extract import extract_result_vector
 from repro.core.pairing import pair_block_rows
@@ -36,11 +39,6 @@ __all__ = [
     "spaden_spmv_simulated_many",
     "register_bitbsr_arrays",
 ]
-
-
-def _input_precision(bitbsr: BitBSRMatrix) -> Precision:
-    """FP16 when values are stored half, else TF32 (the L40 FP32 path)."""
-    return Precision.FP16 if bitbsr.value_dtype == np.float16 else Precision.TF32
 
 
 def register_bitbsr_arrays(
@@ -83,7 +81,7 @@ def spaden_spmv_simulated(
     if x.ndim != 1 or x.shape[0] != bitbsr.ncols:
         raise KernelError(f"x has shape {x.shape}, expected ({bitbsr.ncols},)")
     if precision is None:
-        precision = _input_precision(bitbsr)
+        precision = bitbsr.input_precision
     memory = GlobalMemory()
     register_bitbsr_arrays(memory, bitbsr, x)
 
@@ -109,28 +107,24 @@ def spaden_spmv(
     Mathematically identical to :func:`spaden_spmv_simulated`: values and
     the x operand are rounded to the input precision, every product is a
     float32 multiply, and per-row sums accumulate in float32-or-wider.
+    One gather-multiply-``bincount`` over the matrix's run view; a
+    ``precision`` other than the matrix's own reuses the view's
+    coordinates and rounds the stored values on each call.
     """
     x = np.asarray(x)
     if x.ndim != 1 or x.shape[0] != bitbsr.ncols:
         raise KernelError(f"x has shape {x.shape}, expected ({bitbsr.ncols},)")
+    view = bitbsr.run_view()
+    vals = view.values
     if precision is None:
-        precision = _input_precision(bitbsr)
-
-    rows, cols = bitbsr.entry_coordinates()
-    vals = bitbsr.values.astype(np.float32)
-    xf = x.astype(np.float32)
-    if precision is Precision.FP16:
-        vals = vals.astype(np.float16).astype(np.float32)
-        xf = xf.astype(np.float16).astype(np.float32)
-    elif precision is Precision.TF32:
-        from repro.gpu.mma import to_tf32
-
-        vals = to_tf32(vals)
-        xf = to_tf32(xf)
+        precision = bitbsr.input_precision
+    elif precision is not bitbsr.input_precision:
+        vals = round_inputs(bitbsr.values, precision)
+    xf = round_inputs(x.astype(np.float32), precision)
     # lint: ignore[fp64-upcast] -- np.bincount only takes float64 weights;
     # products are already rounded to the input precision grid
-    products = (vals * xf[cols]).astype(np.float64)
-    y = np.bincount(rows, weights=products, minlength=bitbsr.nrows)
+    products = (vals * xf[view.cols]).astype(np.float64)
+    y = np.bincount(view.rows, weights=products, minlength=bitbsr.nrows)
     return y.astype(np.float32)[: bitbsr.nrows]
 
 
@@ -146,46 +140,19 @@ def spaden_spmv_many(
     X: np.ndarray,
     precision: Precision | None = None,
 ) -> np.ndarray:
-    """Batched Spaden SpMV: one bitBSR decode shared by every vector.
+    """Batched Spaden SpMV: :func:`spaden_spmv` on each row of ``X``.
 
-    ``X`` holds ``k`` input vectors as rows; the result row ``j`` is
-    bitwise-identical to ``spaden_spmv(bitbsr, X[j])`` — the entry
-    coordinates are expanded once, and each vector's per-row sums
-    accumulate over the entries in the same storage order as the
-    single-vector path, so the float64 partials (and their float32
-    rounding) agree exactly.  This is the amortization the batched
-    engine sells: the decode and conversion cost is paid once per batch
-    instead of once per vector.
+    ``X`` holds ``k`` input vectors as rows; result row ``j`` is
+    ``spaden_spmv(bitbsr, X[j])`` by construction, so it is
+    bitwise-identical to the single-vector path.  Every vector reuses
+    the matrix's run view: the bitmap decode is paid once per matrix,
+    not once per batch.
     """
     X = _check_batch(X, bitbsr.ncols)
-    if precision is None:
-        precision = _input_precision(bitbsr)
-    k = X.shape[0]
-    if k == 0:
-        return np.zeros((0, bitbsr.nrows), dtype=np.float32)
-
-    rows, cols = bitbsr.entry_coordinates()  # decoded once for the batch
-    if rows.size == 0 or bitbsr.nrows == 0:
-        return np.zeros((k, bitbsr.nrows), dtype=np.float32)
-    vals = bitbsr.values.astype(np.float32)
-    Xf = X.astype(np.float32)
-    if precision is Precision.FP16:
-        vals = vals.astype(np.float16).astype(np.float32)
-        Xf = Xf.astype(np.float16).astype(np.float32)
-    elif precision is Precision.TF32:
-        from repro.gpu.mma import to_tf32
-
-        vals = to_tf32(vals)
-        Xf = to_tf32(Xf)
-    # lint: ignore[fp64-upcast] -- np.bincount only takes float64 weights;
-    # products are already rounded to the input precision grid
-    products = (vals[None, :] * Xf[:, cols]).astype(np.float64)
-    # One bincount over the combined (vector, row) bins.  Row-major ravel
-    # keeps each vector's entries contiguous and in storage order, so the
-    # accumulation order per bin matches the single-vector bincount.
-    bins = rows[None, :] + np.int64(bitbsr.nrows) * np.arange(k, dtype=np.int64)[:, None]
-    y = np.bincount(bins.ravel(), weights=products.ravel(), minlength=k * bitbsr.nrows)
-    return y.astype(np.float32).reshape(k, bitbsr.nrows)
+    Y = np.empty((X.shape[0], bitbsr.nrows), dtype=np.float32)
+    for j in range(X.shape[0]):
+        Y[j] = spaden_spmv(bitbsr, X[j], precision)
+    return Y
 
 
 def spaden_spmv_simulated_many(
@@ -207,7 +174,7 @@ def spaden_spmv_simulated_many(
     """
     X = _check_batch(X, bitbsr.ncols)
     if precision is None:
-        precision = _input_precision(bitbsr)
+        precision = bitbsr.input_precision
     k = X.shape[0]
     memories = []
     for j in range(k):

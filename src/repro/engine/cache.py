@@ -7,9 +7,12 @@ prepared operand by the *content* of its CSR — two requests carrying
 structurally identical matrices share one conversion, and a matrix that
 changes in place can never serve a stale operand.
 
-The cache is bounded by a **device-bytes budget** (the sum of
-``PreparedOperand.device_bytes`` it keeps resident, modeling GPU memory)
-and evicts least-recently-used entries to stay under it.  Hit, miss and
+The cache is bounded by a **bytes budget** over device plus host bytes:
+each resident operand is charged its ``PreparedOperand.device_bytes``
+(modeling GPU memory) plus its ``host_bytes`` (host data the kernel
+derives on first run, such as Spaden's decoded run view), so a cache
+never holds more memory than its budget says.  It evicts
+least-recently-used entries to stay under the budget.  Hit, miss and
 eviction counters are surfaced through :class:`CacheStats` so the
 engine's :class:`~repro.engine.engine.EngineStats` can report them the
 way :class:`~repro.gpu.counters.ExecutionStats` reports kernel counters.
@@ -32,8 +35,13 @@ from repro.plan.profile import matrix_fingerprint
 
 __all__ = ["CacheStats", "OperandCache", "matrix_fingerprint"]
 
-#: Default device-bytes budget: 256 MiB, a small slice of either board.
+#: Default budget: 256 MiB, a small slice of either board.
 DEFAULT_CACHE_BYTES: int = 256 * 1024 * 1024
+
+
+def _charged_bytes(operand: PreparedOperand) -> int:
+    """What one resident operand costs the budget: device plus host bytes."""
+    return operand.device_bytes + operand.host_bytes
 
 
 @dataclass
@@ -44,7 +52,7 @@ class CacheStats:
     hits: int = 0
     #: Lookups that required a fresh ``prepare``.
     misses: int = 0
-    #: Entries evicted to respect the device-bytes budget.
+    #: Entries evicted to respect the bytes budget.
     evictions: int = 0
     #: Operands larger than the whole budget, served but never retained.
     rejected: int = 0
@@ -66,7 +74,10 @@ class CacheStats:
 
 
 class OperandCache:
-    """LRU cache of prepared operands under a device-bytes budget.
+    """LRU cache of prepared operands under a device-plus-host bytes budget.
+
+    ``device_bytes_budget`` bounds the sum of each resident operand's
+    ``device_bytes + host_bytes``.
 
     ``name`` labels this cache's series in the process-wide metrics
     registry (hit/miss/eviction/rejection counters and the
@@ -105,7 +116,7 @@ class OperandCache:
         registry = get_registry()
         registry.gauge(
             "operand_cache_resident_bytes",
-            "Device bytes held by resident prepared operands.",
+            "Device plus host bytes held by resident prepared operands.",
             labels=("cache",),
         ).set(resident_bytes, cache=self.name)
         registry.gauge(
@@ -125,7 +136,7 @@ class OperandCache:
 
     @property
     def resident_bytes(self) -> int:
-        """Device bytes currently held by resident operands.
+        """Device plus host bytes currently held by resident operands.
 
         Maintained as a running total through ``put`` / ``invalidate`` /
         ``clear``, so eviction decisions are O(1) per entry instead of
@@ -175,10 +186,10 @@ class OperandCache:
         """
         events: list[str] = []
         with self._lock:
-            if operand.device_bytes > self.device_bytes_budget:
+            if _charged_bytes(operand) > self.device_bytes_budget:
                 displaced = self._entries.pop(key, None)
                 if displaced is not None:
-                    self._resident_bytes -= displaced.device_bytes
+                    self._resident_bytes -= _charged_bytes(displaced)
                     self.stats.evictions += 1
                     events.append("eviction")
                 self.stats.rejected += 1
@@ -186,13 +197,13 @@ class OperandCache:
             else:
                 replaced = self._entries.get(key)
                 if replaced is not None:
-                    self._resident_bytes -= replaced.device_bytes
+                    self._resident_bytes -= _charged_bytes(replaced)
                 self._entries[key] = operand
                 self._entries.move_to_end(key)
-                self._resident_bytes += operand.device_bytes
+                self._resident_bytes += _charged_bytes(operand)
                 while self._resident_bytes > self.device_bytes_budget:
                     evicted_key, evicted = self._entries.popitem(last=False)
-                    self._resident_bytes -= evicted.device_bytes
+                    self._resident_bytes -= _charged_bytes(evicted)
                     self.stats.evictions += 1
                     events.append("eviction")
                     if evicted_key == key:  # cannot happen (size checked), safety net
@@ -208,7 +219,7 @@ class OperandCache:
             dropped = self._entries.pop(key, None)
             if dropped is None:
                 return False
-            self._resident_bytes -= dropped.device_bytes
+            self._resident_bytes -= _charged_bytes(dropped)
             self.stats.invalidations += 1
             resident, count = self._resident_bytes, len(self._entries)
         self._count_event("invalidation")

@@ -16,6 +16,10 @@ trusts nothing semantically: anything that is not a well-formed
 :class:`PreparedOperand` for the requested kernel and matrix is
 rejected (``None``), which the engine reports back to the store as a
 structured ``decode`` miss.
+
+A payload holds the operand as prepared: data a kernel derives on its
+first run (Spaden's decoded run view) is dropped by the format's
+``__getstate__``, so the bytes never depend on whether the operand ran.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ from repro.kernels.base import PreparedOperand
 
 __all__ = ["OPERAND_CODEC", "decode_operand", "encode_operand"]
 
-#: Store-header codec tag; bump when the pickled shape changes.
-OPERAND_CODEC = "operand-pickle/v1"
+#: Store-header codec tag; bump when the pickled shape changes (v2:
+#: ``PreparedOperand.host_bytes``).
+OPERAND_CODEC = "operand-pickle/v2"
 
 
 def encode_operand(operand: PreparedOperand) -> bytes | None:

@@ -7,13 +7,16 @@ request pays the format conversion every time; :class:`SpMVEngine`
 amortizes it twice over:
 
 * an :class:`~repro.engine.cache.OperandCache` keyed by the CSR's
-  content hash keeps prepared operands resident under a device-bytes
-  budget, so repeat requests skip ``prepare`` entirely;
+  content hash keeps prepared operands resident under a device-plus-host
+  bytes budget, so repeat requests skip ``prepare`` entirely — and a
+  resident Spaden operand keeps the run view its first run decoded, so
+  the bitBSR decode is paid once per operand lifetime;
 * :meth:`SpMVEngine.spmv_many` micro-batches same-matrix requests into
   one multi-vector :meth:`~repro.kernels.base.SpMVKernel.run_many`
-  execution, so one bitBSR decode (or CSR gather) serves the whole
-  batch.  Results are returned in request order and are bitwise-equal
-  to per-vector :meth:`~repro.kernels.base.SpMVKernel.run` calls.
+  execution, so one fingerprint, cache lookup and chain walk serve the
+  whole batch.  Results are returned in request order and are
+  bitwise-equal to per-vector :meth:`~repro.kernels.base.SpMVKernel.run`
+  calls.
 
 Every batch honors the PR-1 graceful-degradation contract: batches run
 through :func:`repro.exec.execute_chain` — a

@@ -55,10 +55,10 @@ class KernelCapabilities:
     #: The method computes on tensor cores (drives the pre-flight
     #: fragment-layout verification and the fallback-chain ordering).
     tensor_cores: bool = False
-    #: ``run_many`` is a vectorized batch path that amortizes the format
-    #: decode across vectors.  The loop fallback on the base class means
-    #: every kernel *accepts* batches; this flag marks the ones that
-    #: gain from them.
+    #: ``run_many`` is a batch path of the kernel's own (Spaden's loop
+    #: over one memoized run view, the vectorized CSR gather).  The loop
+    #: fallback on the base class means every kernel *accepts* batches;
+    #: this flag marks the ones with a path of their own.
     batch: bool = False
     #: A lane-accurate ``simulate`` path exists.
     simulate: bool = False

@@ -13,11 +13,18 @@ Each non-empty 8x8 block is described by:
 Values are stored in half precision, matching the tensor-core input
 operand.  The resulting footprint is ``2 B/nnz + 16 B/block``, which
 reproduces the paper's measured 2.85 B/nnz average (Fig. 10b).
+
+On the GPU, Algorithm 2 decodes each bitmap in registers as the warp
+loads it.  The vectorized host twin instead decodes once per matrix:
+:meth:`BitBSRMatrix.run_view` memoizes the per-entry coordinates and
+rounded values on the first numeric run and freezes the storage arrays,
+so the memo can never serve a stale ``y``.  The view is host memory
+only; the device footprint above does not include it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -26,12 +33,29 @@ from repro.errors import BitmapPopcountError, EmptyBlockError, FormatError, Offs
 from repro.formats.base import ArrayField, SparseMatrix, _dtype_matches, register_format
 from repro.formats.bsr import BSRMatrix, block_coordinates
 from repro.formats.coo import COOMatrix
+from repro.gpu.mma import Precision, round_inputs
 from repro.utils.bitops import popcount
 from repro.utils.scan import exclusive_scan, segment_ids
 
-__all__ = ["BitBSRMatrix"]
+__all__ = ["BitBSRMatrix", "RunView"]
 
 _U64 = np.uint64
+
+#: The storage arrays a run view is decoded from (frozen once it exists).
+_STORAGE = ("block_row_pointers", "block_cols", "bitmaps", "values", "block_offsets")
+
+
+class RunView(NamedTuple):
+    """Run-ready decode of a :class:`BitBSRMatrix` (see :meth:`~BitBSRMatrix.run_view`)."""
+
+    #: Global row of every stored value, in storage order.
+    rows: np.ndarray
+    #: Global column of every stored value, in storage order.
+    cols: np.ndarray
+    #: The stored values as float32, rounded to the matrix's input precision.
+    values: np.ndarray
+    #: The storage arrays the view was decoded from.
+    storage: tuple[np.ndarray, ...]
 
 
 @register_format
@@ -44,6 +68,9 @@ class BitBSRMatrix(SparseMatrix):
 
     format_name = "bitbsr"
 
+    #: Memoized :class:`RunView`; ``None`` until the first numeric run.
+    _run_view: RunView | None = None
+
     def __init__(
         self,
         shape: tuple[int, int],
@@ -55,13 +82,15 @@ class BitBSRMatrix(SparseMatrix):
     ):
         super().__init__(shape)
         self.block_dim = BLOCK_DIM
-        ptr = np.asarray(block_row_pointers, dtype=np.int64)
-        cols = np.asarray(block_cols, dtype=np.int32)
-        bitmaps = np.asarray(bitmaps, dtype=_U64)
+        # private copies: building the run view freezes the storage, and
+        # that must never reach an array the caller still holds
+        ptr = np.array(block_row_pointers, dtype=np.int64)
+        cols = np.array(block_cols, dtype=np.int32)
+        bitmaps = np.array(bitmaps, dtype=_U64)
         self.value_dtype = np.dtype(value_dtype)
         if self.value_dtype not in (np.dtype(np.float16), np.dtype(np.float32)):
             raise FormatError("value_dtype must be float16 or float32")
-        values = np.asarray(values, dtype=self.value_dtype)
+        values = np.array(values, dtype=self.value_dtype)
         nbrows = self.block_rows_count
         if ptr.size != nbrows + 1 or ptr[0] != 0 or ptr[-1] != cols.size:
             raise FormatError("block_row_pointers inconsistent")
@@ -110,6 +139,11 @@ class BitBSRMatrix(SparseMatrix):
         """Per-block nonzero counts (popcount of each bitmap)."""
         return np.diff(self.block_offsets)
 
+    @property
+    def input_precision(self) -> Precision:
+        """FP16 when values are stored half, else TF32 (the L40 FP32 path)."""
+        return Precision.FP16 if self.value_dtype == np.float16 else Precision.TF32
+
     # -- conversion -----------------------------------------------------------
     @classmethod
     def _from_entries(
@@ -144,14 +178,7 @@ class BitBSRMatrix(SparseMatrix):
             bitmaps = np.zeros(0, dtype=_U64)
         counts = np.bincount((unique_keys // nbcols).astype(np.int64), minlength=nbrows)
         ptr = exclusive_scan(counts)
-        return cls(
-            shape,
-            ptr,
-            (unique_keys % nbcols).astype(np.int32),
-            bitmaps,
-            values_sorted.astype(value_dtype),
-            value_dtype=value_dtype,
-        )
+        return cls(shape, ptr, unique_keys % nbcols, bitmaps, values_sorted, value_dtype=value_dtype)
 
     @classmethod
     def from_coo(cls, coo: COOMatrix, value_dtype: np.dtype | type = np.float16) -> "BitBSRMatrix":
@@ -197,7 +224,7 @@ class BitBSRMatrix(SparseMatrix):
         brow = bsr.block_row_of()[keep]
         counts = np.bincount(brow, minlength=bsr.block_rows_count)
         ptr = exclusive_scan(counts)
-        return cls(bsr.shape, ptr, bsr.block_cols[keep].copy(), bitmaps, values, value_dtype=value_dtype)
+        return cls(bsr.shape, ptr, bsr.block_cols[keep], bitmaps, values, value_dtype=value_dtype)
 
     def entry_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Global (rows, cols) of every stored nonzero, in storage order.
@@ -213,6 +240,69 @@ class BitBSRMatrix(SparseMatrix):
         rows = self.block_row_of()[bidx] * BLOCK_DIM + pos // BLOCK_DIM
         cols = self.block_cols[bidx].astype(np.int64) * BLOCK_DIM + pos % BLOCK_DIM
         return rows, cols
+
+    # -- run view ---------------------------------------------------------------
+    def _index_dtype(self) -> np.dtype:
+        """The narrowest index type that holds every row and column."""
+        for dtype in (np.uint16, np.int32):
+            if max(self.shape) <= np.iinfo(dtype).max:
+                return np.dtype(dtype)
+        return np.dtype(np.int64)
+
+    @property
+    def run_view_nbytes(self) -> int:
+        """Host bytes of :meth:`run_view`, known before it is built.
+
+        A row and a column index plus a float32 value per stored entry:
+        8 B/nnz while both dimensions fit in uint16, 12 B/nnz in int32,
+        20 B/nnz beyond.
+        """
+        return self.nnz * (2 * self._index_dtype().itemsize + 4)
+
+    def run_view(self) -> RunView:
+        """The memoized run-ready decode the vectorized kernel runs on.
+
+        The first call decodes the bitmaps once through
+        :meth:`entry_coordinates` into the narrowest index type that
+        fits, and rounds the values to :attr:`input_precision`, all in
+        storage order; later calls return the same view.  Building it
+        freezes the five storage arrays, so an in-place write afterwards
+        raises ``ValueError`` instead of leaving the view stale, and
+        replacing a storage array makes the next call decode again.  The
+        view is published by one assignment: threads racing on the first
+        call may each decode, but none sees a partial view.
+        """
+        storage = tuple(getattr(self, name) for name in _STORAGE)
+        view = self._run_view
+        if view is None or any(a is not b for a, b in zip(view.storage, storage)):
+            for array in storage:
+                array.flags.writeable = False
+            rows, cols = self.entry_coordinates()
+            index = self._index_dtype()
+            view = RunView(
+                rows.astype(index),
+                cols.astype(index),
+                round_inputs(self.values, self.input_precision),
+                storage,
+            )
+            self._run_view = view
+        return view
+
+    def __getstate__(self) -> dict:
+        """Pickle and deep-copy the bitBSR storage only, writeable.
+
+        The run view is derived data: dropping it keeps spilled operands
+        at bitBSR bytes, and makes a corrupted copy (``corrupt()``, the
+        chaos hooks) decode its own storage rather than serve the
+        original's.  Frozen arrays travel as writeable copies, so a
+        payload is byte-identical before and after the first run.
+        """
+        state = self.__dict__.copy()
+        state.pop("_run_view", None)
+        for name in _STORAGE:
+            if not state[name].flags.writeable:
+                state[name] = state[name].copy()
+        return state
 
     def tocoo(self) -> COOMatrix:
         rows, cols = self.entry_coordinates()

@@ -127,8 +127,8 @@ class BitCOOMatrix(SparseMatrix):
         return BitBSRMatrix(
             self.shape,
             ptr,
-            self.block_cols[order].copy(),
-            self.bitmaps[order].copy(),
+            self.block_cols[order],
+            self.bitmaps[order],
             self.values[value_order],
             value_dtype=self.value_dtype,
         )

@@ -20,7 +20,7 @@ from repro.errors import NumericalError, SimulationError
 from repro.gpu.counters import ExecutionStats
 from repro.gpu.fragment import Fragment, FragmentKind, element_owner
 
-__all__ = ["Precision", "to_tf32", "MMAUnit"]
+__all__ = ["Precision", "to_tf32", "round_inputs", "MMAUnit"]
 
 
 class Precision(enum.Enum):
@@ -45,7 +45,8 @@ def to_tf32(x: np.ndarray) -> np.ndarray:
     return (rounded & np.uint32(0xFFFFE000)).view(np.float32).copy()
 
 
-def _round_inputs(matrix: np.ndarray, precision: Precision) -> np.ndarray:
+def round_inputs(matrix: np.ndarray, precision: Precision) -> np.ndarray:
+    """``matrix`` as float32 on the input grid of ``precision``."""
     if precision is Precision.FP16:
         return matrix.astype(np.float16).astype(np.float32)
     if precision is Precision.TF32:
@@ -83,8 +84,8 @@ class MMAUnit:
             raise SimulationError("second operand must be a MATRIX_B fragment")
         if c.kind is not FragmentKind.ACCUMULATOR:
             raise SimulationError("third operand must be an ACCUMULATOR fragment")
-        am = _round_inputs(a.to_matrix().astype(np.float32), self.precision)
-        bm = _round_inputs(b.to_matrix().astype(np.float32), self.precision)
+        am = round_inputs(a.to_matrix().astype(np.float32), self.precision)
+        bm = round_inputs(b.to_matrix().astype(np.float32), self.precision)
         cm = c.to_matrix().astype(np.float32)
         # hardware propagates Inf/NaN silently; the explicit overflow
         # check below replaces numpy's warning

@@ -131,6 +131,11 @@ class PreparedOperand:
     preprocessing_seconds: float
     #: Measured host wall time of the conversion, seconds.
     host_seconds: float = 0.0
+    #: Host bytes of data the kernel derives from ``data`` on its first
+    #: run (Spaden's decoded run view), known at prepare.  Not part of
+    #: the device footprint: ``bytes_per_nnz`` and Fig. 10b ignore it,
+    #: the operand cache charges it.
+    host_bytes: int = 0
 
     @property
     def bytes_per_nnz(self) -> float:
@@ -223,11 +228,10 @@ class SpMVKernel(ABC):
         ``X`` has shape ``(k, ncols)`` (one input vector per row); the
         result has shape ``(k, nrows)``.  The base implementation is the
         loop fallback — one :meth:`run` per vector, so results are
-        bitwise-identical to ``k`` independent calls.  Kernels whose
-        format decode can be amortized across the batch (Spaden's bitBSR
-        expansion, the CSR gather) override this with a vectorized path
-        that preserves the per-vector arithmetic exactly, and declare
-        ``capabilities.batch``.
+        bitwise-identical to ``k`` independent calls.  Kernels with a
+        batched path of their own (Spaden's loop over one memoized run
+        view, the CSR gather) override this, preserve the per-vector
+        arithmetic exactly, and declare ``capabilities.batch``.
         """
         X = self._check_many(prepared, X)
         out = np.zeros((X.shape[0], prepared.shape[0]), dtype=np.float32)

@@ -85,6 +85,7 @@ class SpadenKernel(SpMVKernel):
             shape=csr.shape,
             nnz=csr.nnz,
             device_bytes=bit.nbytes,
+            host_bytes=bit.run_view_nbytes,
             preprocessing_seconds=model_preprocessing_seconds(
                 "bitbsr", csr.nnz, csr.nrows, nblocks=bit.nblocks
             ),
@@ -96,10 +97,11 @@ class SpadenKernel(SpMVKernel):
         return spaden_spmv(prepared.data, x)
 
     def run_many(self, prepared: PreparedOperand, X: np.ndarray) -> np.ndarray:
-        """Vectorized batch: one bitBSR decode shared across the vectors.
+        """Batch as a loop of the single-vector path over one run view.
 
-        Row ``j`` of the result is bitwise-identical to
-        ``run(prepared, X[j])`` (see :func:`repro.core.spmv.spaden_spmv_many`).
+        Row ``j`` of the result is ``run(prepared, X[j])`` by
+        construction; the bitBSR decode is paid once per operand, on its
+        first run (see :func:`repro.core.spmv.spaden_spmv_many`).
         """
         X = self._check_many(prepared, X)
         return spaden_spmv_many(prepared.data, X)

@@ -11,14 +11,12 @@ themselves.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.constants import BLOCK_DIM, WARP_SIZE
-from repro.core.spmv import spaden_spmv
 import dataclasses
 
+import numpy as np
+
+from repro.constants import WARP_SIZE
 from repro.formats.bitbsr import BitBSRMatrix
-from repro.formats.csr import CSRMatrix
 from repro.kernels.base import KernelProfile, PreparedOperand, register_kernel
 from repro.kernels.spaden import SpadenKernel
 
@@ -31,20 +29,11 @@ class SpadenNoTCKernel(SpadenKernel):
 
     name = "spaden-no-tc"
     label = "Spaden w/o TC"
-    # inherits Spaden's batch/simulate paths; runs on CUDA cores and
-    # takes the chain slot right after the tensor-core original
+    # inherits Spaden's prepare/run/batch/simulate paths; runs on CUDA
+    # cores and takes the chain slot right after the tensor-core original
     capabilities = dataclasses.replace(
         SpadenKernel.capabilities, tensor_cores=False, fallback_tier=10
     )
-
-    def prepare(self, csr: CSRMatrix) -> PreparedOperand:
-        prepared = super().prepare(csr)
-        prepared.kernel_name = self.name
-        return prepared
-
-    def run(self, prepared: PreparedOperand, x: np.ndarray) -> np.ndarray:
-        x = self._check(prepared, x)
-        return spaden_spmv(prepared.data, x)
 
     def profile(self, prepared: PreparedOperand, x: np.ndarray) -> KernelProfile:
         # memory side is identical to Spaden; swap the compute terms

@@ -11,12 +11,11 @@ eliminates ("skipping the conventional data preparation overhead").
 
 from __future__ import annotations
 
-import numpy as np
-
 import dataclasses
 
-from repro.constants import BLOCK_DIM, WARP_SIZE
-from repro.core.spmv import spaden_spmv
+import numpy as np
+
+from repro.constants import WARP_SIZE
 from repro.formats.bitbsr import BitBSRMatrix
 from repro.kernels.base import KernelProfile, PreparedOperand, register_kernel
 from repro.kernels.spaden import SpadenKernel
@@ -32,15 +31,6 @@ class SpadenWMMAKernel(SpadenKernel):
     label = "Spaden (WMMA path)"
     # an ablation, not a production path: it stays out of the fallback chain
     capabilities = dataclasses.replace(SpadenKernel.capabilities, fallback_tier=None)
-
-    def prepare(self, csr) -> PreparedOperand:
-        prepared = super().prepare(csr)
-        prepared.kernel_name = self.name
-        return prepared
-
-    def run(self, prepared: PreparedOperand, x: np.ndarray) -> np.ndarray:
-        x = self._check(prepared, x)
-        return spaden_spmv(prepared.data, x)
 
     def profile(self, prepared: PreparedOperand, x: np.ndarray) -> KernelProfile:
         base = super().profile(prepared, x)

@@ -3,8 +3,8 @@
 This is the serving layer ROADMAP item 1 converges on: many callers on
 many threads submit SpMV requests against registered matrices, and the
 front-end turns that concurrent traffic into the same-matrix
-micro-batches the engine already amortizes — one operand decode per
-batch instead of one per request.  The moving parts:
+micro-batches the engine already amortizes — one fingerprint, cache
+lookup and chain walk per batch instead of one per request.  The moving parts:
 
 * **admission control** (:meth:`ServeFrontend.submit`): a request is
   validated, checked against its tenant's

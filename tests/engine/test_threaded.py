@@ -8,6 +8,7 @@ bitwise-equal to the serial run, counters that reconcile exactly, and no
 lost or double-counted cache events.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -192,3 +193,38 @@ class TestThreadedObservability:
         assert engine.cache.stats.misses == 1
         assert engine.cache.resident_bytes > 0
         assert (("spaden", matrix_fingerprint(csr)) in engine.cache)
+
+
+class TestThreadedFirstTouch:
+    def test_racing_first_runs_are_bitwise_equal_to_serial(self, rng):
+        """Four threads make a warmed operand's first numeric run at once.
+
+        Each may decode the run view, but none may see a partial one, so
+        every result must equal a serial run byte for byte.
+        """
+        csr = _csr(rng, nrows=512, ncols=512, density=0.05)
+        xs = [rng.standard_normal(csr.ncols).astype(np.float32) for _ in range(4)]
+        serial = [_engine().spmv(csr, x) for x in xs]
+
+        engine = _engine()
+        operand = engine.warm(csr)
+        assert operand.data.values.flags.writeable  # warmed, never run
+        barrier = threading.Barrier(len(xs))
+
+        def first_touch(x):
+            barrier.wait(timeout=30)
+            return engine.spmv(csr, x)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(xs)) as pool:
+                futures = [pool.submit(first_touch, x) for x in xs]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+
+        for expected, got in zip(serial, threaded):
+            assert got.tobytes() == expected.tobytes()
+        assert engine.stats.prepare_calls == 1
+        assert not operand.data.values.flags.writeable  # the view exists now

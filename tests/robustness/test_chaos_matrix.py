@@ -127,3 +127,27 @@ def test_lane_fault_degrades_resilient_engine(problem):
     assert any(e.cause == "LayoutError" for e in engine.stats.degradation_log)
     board = engine.resilience.breakers
     assert board.breaker("spaden").failure_rate > 0.0
+
+
+def test_fault_after_a_run_degrades_at_check_not_from_the_old_view(problem):
+    """Serve once so spaden's cached operand has its run view, then swap
+    in a NaN-poisoned copy with deep verify off: the attempt must see
+    the NaN and degrade at ``check``, never answer from the old view."""
+    csr, x, ref = problem
+    engine = SpMVEngine("spaden")
+    engine.spmv(csr, x)
+    operand = engine.cache.peek(("spaden", matrix_fingerprint(csr)))
+    assert not operand.data.values.flags.writeable  # the view exists
+    fired = []
+
+    def once(kernel_name, prepared):
+        if not fired and kernel_name == "spaden":
+            prepared.data, _ = corrupt(prepared.data, "value-nan", seed=9)
+            fired.append(kernel_name)
+
+    [y] = engine.spmv_many([(csr, x)], return_errors=True, faults=(once,))
+    assert fired
+    [event] = engine.stats.degradation_log
+    assert (event.kernel, event.stage, event.cause) == ("spaden", "check", "NumericalError")
+    assert not isinstance(y, ReproError)
+    assert np.allclose(y, ref, rtol=1e-3, atol=1e-2)
