@@ -1,17 +1,6 @@
 """Shared benchmark harness: suite loading, profile caching, reporting."""
 
-from repro.bench.convert import (
-    ConvertBenchResult,
-    bench_convert,
-    format_convert_report,
-)
-from repro.bench.engine import EngineBenchResult, bench_engine
-from repro.bench.load import (
-    LoadCampaignResult,
-    bench_load,
-    format_load_report,
-    zipf_weights,
-)
+from repro.bench.load import zipf_weights
 from repro.bench.plan import (
     PlanBenchResult,
     PlanCrossoverPoint,
@@ -32,22 +21,14 @@ from repro.bench.trajectory import append_trajectory
 
 __all__ = [
     "EVALUATED_METHODS",
-    "ConvertBenchResult",
-    "EngineBenchResult",
     "FIG8_METHODS",
-    "LoadCampaignResult",
     "PlanBenchResult",
     "PlanCrossoverPoint",
     "append_trajectory",
-    "bench_convert",
-    "bench_engine",
-    "bench_load",
     "bench_plan_crossover",
     "bench_scale",
     "block_sweep_csr",
-    "format_convert_report",
     "format_plan_report",
-    "format_load_report",
     "load_suite",
     "zipf_weights",
     "modeled_times",

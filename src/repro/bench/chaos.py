@@ -28,7 +28,7 @@ and retry backoff consumes budget — so a campaign is instant, never
 blocks, and is **bit-for-bit reproducible**: the same seed yields the
 same event stream (:meth:`ChaosCampaignResult.event_stream`).
 :func:`~repro.bench.append_trajectory` persists campaigns to the
-``BENCH_chaos.json`` artifact CI uploads, next to ``BENCH_obs.json``.
+``BENCH_chaos.json`` artifact CI uploads.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ A trajectory is a JSON list with one entry per recorded run::
     {"recorded_unix": ..., <key>: <result.as_dict() minus run_report>,
      "report": <RunReport dict>}
 
-``key`` is ``"bench"`` for the engine, convert and plan benches and
-``"campaign"`` for the chaos and serve campaigns; ``"report"`` is
-present only when the result carries a ``run_report``.  Successive runs
-(and the CI artifact trail) diff the same fields over time.
+``key`` is ``"bench"`` for the plan bench and ``"campaign"`` for the
+chaos campaign; ``"report"`` is present only when the result carries a
+``run_report``.  Successive runs (and the CI artifact trail) diff the
+same fields over time.
 """
 
 from __future__ import annotations

@@ -10,17 +10,11 @@ Usage::
     python -m repro.cli verify  --matrix consph [--fault bitmap-bit-flip]
     python -m repro.cli analyze [--kernels spaden,csr-scalar] [--no-lint]
                                 [--concurrency] [--paths src/repro/engine]
-    python -m repro.cli engine  [--batch 32] [--nrows 2048] [--kernel spaden]
-                                [--obs-out BENCH_obs.json]
     python -m repro.cli report  --matrix consph [--batch 8] [--simulate]
                                 [--fault bitmap-bit-flip] [--sanitize]
                                 [--jsonl run_report.jsonl] [--prometheus metrics.txt]
     python -m repro.cli chaos   [--seed 0] [--requests 48] [--batch 8]
                                 [--probabilities 0,0.5,0.9] [--out BENCH_chaos.json]
-    python -m repro.cli serve-bench [--mode open] [--workers 4] [--tenants 2]
-                                [--zipf-s 1.1] [--out BENCH_serve.json]
-    python -m repro.cli convert-bench [--nrows 1024] [--density 0.02]
-                                [--rounds 5] [--out BENCH_convert.json]
     python -m repro.cli plan    --matrix consph [--gpu L40] [--simulate]
     python -m repro.cli plan-bench [--sweep 64,32,16,8,4,2,1] [--gpu L40]
                                 [--tolerance 0.15] [--out BENCH_plan.json]
@@ -327,29 +321,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_engine(args) -> int:
-    from repro.bench import append_trajectory
-    from repro.bench.engine import bench_engine, format_report
-
-    result = bench_engine(
-        args.nrows,
-        args.ncols or args.nrows,
-        args.density,
-        batch=args.batch,
-        rounds=args.rounds,
-        kernel=args.kernel,
-        seed=args.seed,
-    )
-    print(format_report(result))
-    if args.obs_out:
-        length = append_trajectory(args.obs_out, result, "bench")
-        print(f"[obs trajectory {args.obs_out}: {length} run(s)]")
-    if not result.bitwise_equal:
-        print("FAIL: batched results diverge from per-vector run()")
-        return 1
-    return 0
-
-
 def _cmd_report(args) -> int:
     """Run a small sample workload and print the merged RunReport.
 
@@ -490,72 +461,6 @@ def _cmd_chaos(args) -> int:
     return 1 if result.lost or result.incorrect else 0
 
 
-def _cmd_serve_bench(args) -> int:
-    """Drive the serving front-end with a seeded multi-tenant load.
-
-    Exit status is the campaign verdict: nonzero if any admitted
-    request was lost (neither answered nor errored) or any served ``y``
-    disagreed bitwise with the serial per-request reference — the two
-    things the front-end is never allowed to trade for latency.
-    """
-    from repro.bench import append_trajectory
-    from repro.bench.load import bench_load, format_load_report
-    from repro.obs import reset_observability
-
-    reset_observability()  # scope the folded report to this campaign
-
-    result = bench_load(
-        args.nrows,
-        args.ncols or args.nrows,
-        args.density,
-        kernel=args.kernel,
-        matrices=args.matrices,
-        requests=args.requests,
-        workers=args.workers,
-        tenants=args.tenants,
-        zipf_s=args.zipf_s,
-        mode=args.mode,
-        max_batch=args.max_batch,
-        max_wait_seconds=args.max_wait_ms / 1000.0,
-        seed=args.seed,
-    )
-    print(format_load_report(result))
-    if args.out:
-        length = append_trajectory(args.out, result, "campaign")
-        print(f"[serve trajectory {args.out}: {length} campaign(s)]")
-    return 1 if result.lost or result.incorrect else 0
-
-
-def _cmd_convert_bench(args) -> int:
-    """Measure the conversion pipeline cold / warm / persistent-warm.
-
-    Exit status is the bench verdict: nonzero if the direct ``from_csr``
-    route diverges bitwise from the COO route, any tier's result
-    diverges from cold, or the restarted engine paid a conversion the
-    persistent store should have absorbed.
-    """
-    from repro.bench import append_trajectory
-    from repro.bench.convert import bench_convert, format_convert_report
-    from repro.obs import reset_observability
-
-    reset_observability()  # scope the folded report to this run
-
-    result = bench_convert(
-        args.nrows,
-        args.ncols or args.nrows,
-        args.density,
-        rounds=args.rounds,
-        kernel=args.kernel,
-        seed=args.seed,
-        store_dir=args.store_dir,
-    )
-    print(format_convert_report(result))
-    if args.out:
-        length = append_trajectory(args.out, result, "bench")
-        print(f"[convert trajectory {args.out}: {length} run(s)]")
-    return 0 if result.passed else 1
-
-
 def _cmd_plan(args) -> int:
     """Profile one matrix and print its ranked execution plan."""
     from repro.matrices import generate_matrix
@@ -665,25 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser(
-        "engine",
-        help="benchmark the batched engine: amortized vs cold per-vector "
-        "time and the operand-cache hit curve",
-    )
-    p.add_argument("--nrows", type=int, default=2048)
-    p.add_argument("--ncols", type=int, default=0, help="defaults to --nrows")
-    p.add_argument("--density", type=float, default=0.004)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--rounds", type=int, default=8)
-    p.add_argument("--kernel", default="spaden")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--obs-out",
-        default=None,
-        help="append this run's RunReport to a BENCH_obs.json trajectory",
-    )
-    p.set_defaults(func=_cmd_engine)
-
-    p = sub.add_parser(
         "report",
         help="run a sample engine workload and print the merged RunReport "
         "(kernel + cache + engine stats, degradations, span timings)",
@@ -738,67 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append the campaign to a BENCH_chaos.json trajectory",
     )
     p.set_defaults(func=_cmd_chaos)
-
-    p = sub.add_parser(
-        "serve-bench",
-        help="drive the concurrent multi-tenant serving front-end with a "
-        "seeded zipfian load and report latency percentiles, throughput, "
-        "coalescing factor and quota rejections",
-    )
-    p.add_argument("--nrows", type=int, default=96)
-    p.add_argument("--ncols", type=int, default=0, help="defaults to --nrows")
-    p.add_argument("--density", type=float, default=0.06)
-    p.add_argument("--kernel", default="spaden")
-    p.add_argument("--matrices", type=int, default=3, help="registered tenant matrices")
-    p.add_argument("--requests", type=int, default=96, help="planned requests (plus quota probe)")
-    p.add_argument("--workers", type=int, default=4, help="front-end worker threads")
-    p.add_argument("--tenants", type=int, default=2, help="distinct request tenants")
-    p.add_argument("--zipf-s", type=float, default=1.1, help="zipfian popularity exponent")
-    p.add_argument(
-        "--mode",
-        choices=("open", "closed"),
-        default="open",
-        help="open = bursty fire-and-collect arrivals; closed = each "
-        "worker waits for its result before the next submit",
-    )
-    p.add_argument("--max-batch", type=int, default=16, help="flush at this batch size")
-    p.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=5.0,
-        help="flush when the oldest queued request is this old",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--out",
-        default=None,
-        help="append the campaign to a BENCH_serve.json trajectory",
-    )
-    p.set_defaults(func=_cmd_serve_bench)
-
-    p = sub.add_parser(
-        "convert-bench",
-        help="benchmark CSR->bitBSR conversion (direct vs via-COO) and "
-        "the cold/warm/persistent-warm prepare tiers across a simulated "
-        "process restart",
-    )
-    p.add_argument("--nrows", type=int, default=1024)
-    p.add_argument("--ncols", type=int, default=0, help="defaults to --nrows")
-    p.add_argument("--density", type=float, default=0.02)
-    p.add_argument("--rounds", type=int, default=5, help="timed conversions per route")
-    p.add_argument("--kernel", default="spaden")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--store-dir",
-        default=None,
-        help="persistent-store directory (default: a throwaway temp dir)",
-    )
-    p.add_argument(
-        "--out",
-        default=None,
-        help="append the run to a BENCH_convert.json trajectory",
-    )
-    p.set_defaults(func=_cmd_convert_bench)
 
     p = sub.add_parser(
         "plan",

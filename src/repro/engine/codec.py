@@ -7,15 +7,16 @@ entry's validated header: changing the layout means changing the
 string, and old entries become structured ``codec`` misses instead of
 misdecodes.
 
-The payload is a pickle.  That is safe *here* because entries are only
-ever read back through :class:`~repro.persist.OperandStore`, which
-verifies a blake2b digest over the exact bytes written — a store
-directory is a private cache, not an exchange format, and a tampered
-file fails the digest before it reaches the unpickler.  Decoding still
-trusts nothing semantically: anything that is not a well-formed
-:class:`PreparedOperand` for the requested kernel and matrix is
-rejected (``None``), which the engine reports back to the store as a
-structured ``decode`` miss.
+The payload is a pickle, and unpickling runs whatever the bytes say.
+The store's blake2b digest (:class:`~repro.persist.OperandStore`) is
+unkeyed and sits in the same file as the payload, so it detects
+corruption but not forgery: anyone who can write the file can write a
+matching digest.  The trust boundary is therefore the directory — a
+store may only load from a directory that no one but the serving user
+can write.  Within that boundary, decoding trusts nothing semantically:
+anything that is not a well-formed :class:`PreparedOperand` for the
+requested kernel and matrix is rejected (``None``), which the engine
+reports back to the store as a structured ``decode`` miss.
 
 A payload holds the operand as prepared: data a kernel derives on its
 first run (Spaden's decoded run view) is dropped by the format's

@@ -13,10 +13,11 @@ amortizes it twice over:
   the bitBSR decode is paid once per operand lifetime;
 * :meth:`SpMVEngine.spmv_many` micro-batches same-matrix requests into
   one multi-vector :meth:`~repro.kernels.base.SpMVKernel.run_many`
-  execution, so one fingerprint, cache lookup and chain walk serve the
-  whole batch.  Results are returned in request order and are
-  bitwise-equal to per-vector :meth:`~repro.kernels.base.SpMVKernel.run`
-  calls.
+  execution, so one cache lookup and one chain walk serve each
+  same-matrix group.  Every request is still fingerprinted on its own,
+  since grouping is by content hash.  Results are returned in request
+  order and are bitwise-equal to per-vector
+  :meth:`~repro.kernels.base.SpMVKernel.run` calls.
 
 Every batch honors the PR-1 graceful-degradation contract: batches run
 through :func:`repro.exec.execute_chain` — a

@@ -248,7 +248,7 @@ class AdmissionError(ServeError):
     Admission control is the front door of :mod:`repro.serve`: a
     request that would blow a tenant's quota is rejected *before* it
     consumes queue space or engine time, with enough structure for the
-    caller (and the load generator) to react without parsing messages:
+    caller to react without parsing messages:
 
     * ``tenant``  — the tenant whose quota rejected the request,
     * ``reason``  — ``"queue-depth"`` (too many requests in flight) or

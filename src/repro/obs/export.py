@@ -7,9 +7,9 @@ Two serializations of the same observability state:
   labeled series, ``_bucket``/``_sum``/``_count`` expansion for
   histograms) — the scrape format a production deployment would serve;
 * :func:`write_jsonl` / :func:`read_jsonl` persist a stream of
-  JSON-object events (one per line) — the trajectory format
-  :class:`~repro.obs.report.RunReport` round-trips through and the
-  bench harness appends to ``BENCH_obs.json``.
+  JSON-object events (one per line) — the format
+  :class:`~repro.obs.report.RunReport` round-trips through
+  (``repro.cli report --jsonl``).
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ timeline and the metrics registry, into one :class:`RunReport` that
 * serializes to a JSON-lines event stream
   (:meth:`RunReport.to_jsonl_lines`) and parses back losslessly
   (:meth:`RunReport.from_jsonl_lines` — ``report == from(to(report))``),
-* rides in the bench trajectory artifact (``BENCH_obs.json``).
+* rides in the chaos campaign's trajectory artifact
+  (``BENCH_chaos.json``).
 
 All payloads are normalized to JSON-native types at build time, so
 equality after a serialization round trip is plain ``==``.

@@ -348,10 +348,11 @@ class StructurePlanner(Planner):
     def _hints(self, profile: StructureProfile) -> tuple[int, float]:
         """Batch/flush hints: denser blocks amortize a bigger batch.
 
-        One fingerprint, cache lookup and chain walk serve the whole
-        batch (the host's bitBSR decode is paid once per operand), and
-        batches are sized by block density; hypersparse operands gain
-        little from waiting, so they flush sooner and smaller.
+        One cache lookup and one chain walk serve a whole same-matrix
+        batch (each request is still fingerprinted, and the host's
+        bitBSR decode is paid once per operand), and batches are sized
+        by block density; hypersparse operands gain little from
+        waiting, so they flush sooner and smaller.
         """
         if profile.mean_block_nnz >= 16:
             return 64, 0.02

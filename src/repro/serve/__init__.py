@@ -17,9 +17,9 @@ Built entirely on the PR-6/PR-7 hardened seams: per-request
 dispatch, the engine's ``return_errors`` contract delivers per-request
 failures, everything shared is lock-guarded under the
 :mod:`repro.analysis.concurrency` audit, and the whole layer reports
-through :mod:`repro.obs` (``serve_*`` metrics).  The paired load
-generator lives in :mod:`repro.bench.load` (``repro.cli serve-bench``).
-See ``docs/serving.md``.
+through :mod:`repro.obs` (``serve_*`` metrics).  The end-to-end
+benchmark's ``serve-hot`` and ``serve-churn`` workloads
+(``benchmarks/e2e``) measure it under load.  See ``docs/serving.md``.
 """
 
 from repro.serve.frontend import ServeFrontend, ServeTicket

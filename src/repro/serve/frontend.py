@@ -3,8 +3,9 @@
 This is the serving layer ROADMAP item 1 converges on: many callers on
 many threads submit SpMV requests against registered matrices, and the
 front-end turns that concurrent traffic into the same-matrix
-micro-batches the engine already amortizes — one fingerprint, cache
-lookup and chain walk per batch instead of one per request.  The moving parts:
+micro-batches the engine already amortizes — one cache lookup and one
+chain walk per batch instead of one per request (each request is still
+fingerprinted on its own).  The moving parts:
 
 * **admission control** (:meth:`ServeFrontend.submit`): a request is
   validated, checked against its tenant's
@@ -131,8 +132,8 @@ class ServeTicket:
     request's identity.  :meth:`result` blocks for (and returns) the
     ``y`` vector, raising the structured error instead if the request
     failed; :meth:`error` blocks and returns the exception instance (or
-    ``None``) without raising — the shape the load generator and the
-    engine's ``return_errors`` path both speak.
+    ``None``) without raising — the shape the engine's
+    ``return_errors`` path speaks.
     """
 
     def __init__(self, seq: int, tenant: str, matrix: str):

@@ -1,12 +1,13 @@
 """Flush policies: when does a coalescing group become a micro-batch?
 
 The front-end holds one pending group per registered matrix and must
-decide, continuously, whether to keep waiting (a bigger batch amortizes
-the operand decode better) or to flush now (a request is aging, or a
-deadline is about to burn).  :class:`FlushPolicy` encodes that decision
-as a pure function of three observations — group size, oldest request
-age, and the earliest per-request deadline — so the dispatcher loop
-stays trivial and the policy itself is unit-testable against a
+decide, continuously, whether to keep waiting (a bigger batch spreads
+its one cache lookup and one chain walk over more requests) or to
+flush now (a request is aging, or a deadline is about to burn).
+:class:`FlushPolicy` encodes that decision as a pure function of three
+observations — group size, oldest request age, and the earliest
+per-request deadline — so the dispatcher loop stays trivial and the
+policy itself is unit-testable against a
 :class:`~repro.resilience.ManualClock` without any threads.
 
 Three triggers, checked in priority order:

@@ -10,13 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import (
-    ConvertBenchResult,
-    EngineBenchResult,
-    LoadCampaignResult,
-    PlanBenchResult,
-    append_trajectory,
-)
+from repro.bench import PlanBenchResult, append_trajectory
 from repro.bench.chaos import ChaosCampaignResult
 from repro.errors import ObservabilityError
 
@@ -24,10 +18,7 @@ SEEDED = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 #: (artifact, result type, entry key the CLI writes it under)
 BENCHES = [
-    ("BENCH_obs.json", EngineBenchResult, "bench"),
-    ("BENCH_serve.json", LoadCampaignResult, "campaign"),
     ("BENCH_chaos.json", ChaosCampaignResult, "campaign"),
-    ("BENCH_convert.json", ConvertBenchResult, "bench"),
     ("BENCH_plan.json", PlanBenchResult, "bench"),
 ]
 
@@ -94,10 +85,10 @@ class _HalfWriter:
 
 
 def test_interrupted_append_keeps_earlier_entries(tmp_path, monkeypatch):
-    path = tmp_path / "BENCH_obs.json"
+    path = tmp_path / "BENCH_chaos.json"
     result = _Result(with_report=True)
-    append_trajectory(path, result, "bench")
-    append_trajectory(path, result, "bench")
+    append_trajectory(path, result, "campaign")
+    append_trajectory(path, result, "campaign")
     before = path.read_text()
 
     real_open = io.open
@@ -112,9 +103,9 @@ def test_interrupted_append_keeps_earlier_entries(tmp_path, monkeypatch):
     monkeypatch.setattr(builtins, "open", failing_open)
     monkeypatch.setattr(io, "open", failing_open)
     with pytest.raises(OSError, match="no space left"):
-        append_trajectory(path, result, "bench")
+        append_trajectory(path, result, "campaign")
     monkeypatch.undo()
 
     assert path.read_text() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp left
-    assert append_trajectory(path, result, "bench") == 3
+    assert append_trajectory(path, result, "campaign") == 3

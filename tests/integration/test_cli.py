@@ -1,5 +1,7 @@
 """CLI smoke tests."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -35,3 +37,19 @@ class TestCLI:
 
         with pytest.raises(KernelError):
             main(["spmv", "--kernel", "nope", "--scale", "0.02"])
+
+
+def test_command_set():
+    # the audited set: paper tables and figures, verification, analysis,
+    # the chaos campaign and the planner bench; host-plane timing
+    # belongs to benchmarks/e2e, not to a CLI harness
+    (commands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    expected = {
+        "table1", "spmv", "figures", "probe", "formats", "verify",
+        "analyze", "report", "chaos", "plan", "plan-bench",
+    }
+    assert set(commands.choices) == expected

@@ -89,21 +89,31 @@ class TestMalformedRequests:
 
 
 class TestBitwiseCorrectness:
-    def test_concurrent_multitenant_traffic_matches_serial_bitwise(self, rng):
-        """The acceptance scenario: >=4 threads, >=2 tenants, many matrices."""
+    """The acceptance scenario: 4 client threads, 3 tenants, 3 matrices."""
+
+    @pytest.fixture
+    def traffic(self, rng):
+        """Matrices, vectors, a 60-request plan and its serial references."""
         csrs = {"A": _csr(rng, 48, 40), "B": _csr(rng, 56, 40), "C": _csr(rng, 64, 40)}
         serial = SpMVEngine("spaden")
         xs = [rng.standard_normal(40).astype(np.float32) for _ in range(6)]
         names = list(csrs)
-        plan = [
-            (names[i % 3], xs[i % len(xs)], f"tenant-{i % 3}") for i in range(60)
-        ]
+        plan = [(names[i % 3], i % len(xs), f"tenant-{i % 3}") for i in range(60)]
         references = {
             (name, j): serial.spmv(csrs[name], xs[j])
             for name in names
             for j in range(len(xs))
         }
+        return csrs, xs, plan, references
 
+    @staticmethod
+    def _serve(traffic, *, closed_loop: bool):
+        """Drive the plan from 4 clients; check zero lost, bitwise == serial.
+
+        Open loop fires every request and collects afterwards; closed
+        loop has each client wait for its ticket before the next submit.
+        """
+        csrs, xs, plan, references = traffic
         frontend = ServeFrontend(
             SpMVEngine("spaden"),
             workers=4,
@@ -116,20 +126,28 @@ class TestBitwiseCorrectness:
         ticket_lock = threading.Lock()
 
         def client(share):
-            for name, x, tenant in share:
-                ticket = frontend.submit(name, x, tenant=tenant)
+            for name, j, tenant in share:
+                ticket = frontend.submit(name, xs[j], tenant=tenant)
+                if closed_loop:
+                    ticket.error(timeout=10)
                 with ticket_lock:
-                    tickets.append((name, x, ticket))
+                    tickets.append((name, j, ticket))
 
         with ThreadPoolExecutor(4) as pool:
             list(pool.map(client, [plan[i::4] for i in range(4)]))
         frontend.close()
 
-        assert len(tickets) == len(plan)  # zero lost
-        for name, x, ticket in tickets:
+        assert len(tickets) == len(plan)
+        assert all(ticket.done() for _, _, ticket in tickets)  # zero lost
+        for name, j, ticket in tickets:
             assert ticket.error() is None
-            j = next(k for k, cand in enumerate(xs) if cand is x)
             assert np.array_equal(ticket.result(), references[(name, j)])
+
+    def test_concurrent_multitenant_traffic_matches_serial_bitwise(self, traffic):
+        self._serve(traffic, closed_loop=False)
+
+    def test_closed_loop_traffic_matches_serial_bitwise(self, traffic):
+        self._serve(traffic, closed_loop=True)
 
     def test_traffic_actually_coalesced(self, rng):
         csr = _csr(rng)
@@ -300,3 +318,21 @@ class TestDrain:
         assert report.meta["frontend"] == "serve"
         assert report.meta["matrices"] == ["A"]
         assert report.meta["suite"] == "unit"
+
+    def test_run_report_folds_admission_metrics(self, rng):
+        """One served request and one rate rejection reach the report."""
+        csr = _csr(rng)
+        x = rng.standard_normal(csr.ncols).astype(np.float32)
+        with ServeFrontend(
+            SpMVEngine("spaden"), workers=1, clock=ManualClock()
+        ) as frontend:
+            frontend.register_matrix("A", csr)
+            frontend.set_quota("t0", TenantQuota(max_requests_per_second=1.0, burst=1))
+            served = frontend.submit("A", x, tenant="t0")
+            with pytest.raises(AdmissionError) as excinfo:
+                frontend.submit("A", x, tenant="t0")
+        assert excinfo.value.reason == "rate"
+        assert served.error(timeout=10) is None
+        report = frontend.run_report()
+        names = {metric["name"] for metric in report.metrics["metrics"]}
+        assert {"serve_admitted_total", "serve_admission_rejected_total"} <= names
