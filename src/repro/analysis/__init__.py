@@ -14,8 +14,8 @@ Three prongs, all reachable through ``python -m repro.cli analyze``:
 * :mod:`repro.analysis.concurrency` — the *static thread-safety* prong:
   an AST audit of the serving-layer packages enforcing the declared
   lock contracts (``# concurrency: guarded-by(...)``) and reporting
-  unguarded shared state and lock-ordering cycles, ahead of the
-  ROADMAP item-1 concurrent front-end.
+  unguarded shared state and lock-ordering cycles in the serving
+  front-end and the layers it runs on.
 
 Shared traversal/reporting plumbing lives in
 :mod:`repro.analysis.astwalk`; the boundary gate

@@ -1,11 +1,11 @@
 """Static thread-safety auditor for the serving-layer packages.
 
-ROADMAP item 1 turns :class:`~repro.engine.SpMVEngine` into a
-concurrent front-end, and item 2 fans shards across worker pools.
-Neither is safe unless the state those layers share — the operand
-cache, the engine's stats, the metrics registry, the breaker
-windows — is written under a declared lock discipline.  This module
-enforces that discipline *statically*, the way
+The serving front-end (:mod:`repro.serve`) runs
+:class:`~repro.engine.SpMVEngine` batches on a worker pool behind a
+dispatcher thread.  That is not safe unless the state those layers
+share — the operand cache, the engine's stats, the metrics registry,
+the breaker windows — is written under a declared lock discipline.
+This module enforces that discipline *statically*, the way
 :mod:`repro.analysis.lint` enforces the warp-synchronous idiom: an AST
 pass over the audited packages (:data:`AUDITED_PACKAGES`), no runtime
 import of the code it checks.

@@ -5,10 +5,12 @@ package supplies the layer that turns concurrent multi-tenant traffic
 into those batches.  A :class:`ServeFrontend` accepts requests against
 registered matrices from many threads, applies admission control and
 per-tenant quotas (:class:`TenantQuota`, rejecting with a structured
-:class:`~repro.errors.AdmissionError`), coalesces same-matrix requests
-under a :class:`FlushPolicy` (flush on full batch, oldest-request age,
-or earliest-deadline pressure), and executes micro-batches on a worker
-pool through :meth:`~repro.engine.SpMVEngine.spmv_many` — every request
+:class:`~repro.errors.AdmissionError`), hands the oldest pending
+requests to any idle worker at once, coalesces same-matrix requests
+under a :class:`FlushPolicy` only while every worker is busy (flush on
+full batch, oldest-request age, or earliest-deadline pressure), and
+executes micro-batches on a worker pool through
+:meth:`~repro.engine.SpMVEngine.spmv_many` — every request
 resolving a :class:`ServeTicket` with its result vector or its
 structured error, never silently dropped.
 

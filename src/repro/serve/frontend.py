@@ -1,11 +1,11 @@
 """The concurrent multi-tenant front-end over :class:`~repro.engine.SpMVEngine`.
 
-This is the serving layer ROADMAP item 1 converges on: many callers on
-many threads submit SpMV requests against registered matrices, and the
-front-end turns that concurrent traffic into the same-matrix
-micro-batches the engine already amortizes — one cache lookup and one
-chain walk per batch instead of one per request (each request is still
-fingerprinted on its own).  The moving parts:
+This is the serving layer: many callers on many threads submit SpMV
+requests against registered matrices, and the front-end turns that
+concurrent traffic into the same-matrix micro-batches the engine
+already amortizes — one cache lookup and one chain walk per batch
+instead of one per request (each request is still fingerprinted on its
+own).  The moving parts:
 
 * **admission control** (:meth:`ServeFrontend.submit`): a request is
   validated, checked against its tenant's
@@ -14,12 +14,15 @@ fingerprinted on its own).  The moving parts:
   :class:`~repro.resilience.Deadline`, and queued — or rejected with a
   structured :class:`~repro.errors.AdmissionError` before it costs
   anything;
-* **coalescing** (:meth:`_dispatch_loop`): one dispatcher thread
-  watches the per-matrix pending groups and flushes a group when the
-  :class:`~repro.serve.policy.FlushPolicy` says so (full batch, aging
-  oldest request, or earliest-deadline pressure), assembling batches in
-  urgency order (priority, then earliest ``expires_at``, then
-  admission order);
+* **work-conserving dispatch** (:meth:`_dispatch_loop`): one
+  dispatcher thread watches the per-matrix pending groups and the
+  number of batches in flight.  While a worker is idle it flushes the
+  oldest pending groups at once, one per idle worker (cause ``idle``);
+  only while every worker is busy does a group wait, until the
+  :class:`~repro.serve.policy.FlushPolicy` flushes it (full batch,
+  aging oldest request, or earliest-deadline pressure).  Batches
+  assemble in urgency order (priority, then earliest ``expires_at``,
+  then admission order);
 * **execution** (:meth:`_run_batch`): a thread pool runs each batch
   through :meth:`~repro.engine.SpMVEngine.spmv_many` with
   ``return_errors=True``, so every request resolves its
@@ -30,17 +33,20 @@ Thread-safety follows the PR-7 discipline: every shared field is
 declared ``guarded-by`` the front-end's condition lock, the lock is
 never held across engine execution (batches run in parallel), and
 metrics are published capture-then-publish outside critical sections.
-The package is audited by :mod:`repro.analysis.concurrency` like the
-other serving seams.
+Tickets wait on a second condition, shared by all of a front-end's
+tickets and never taken while the first is held.  The package is
+audited by :mod:`repro.analysis.concurrency` like the other serving
+seams.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -62,9 +68,10 @@ from repro.serve.quota import TenantQuota, TokenBucket
 __all__ = ["ServeFrontend", "ServeTicket"]
 
 #: How long the dispatcher sleeps between pressure re-checks while
-#: requests are pending.  A submission notifies it immediately; this
-#: bound only matters for pure time pressure (max-wait / deadline), and
-#: keeps the loop live under a virtual clock in tests.
+#: requests are pending.  A submission or a finished batch notifies it
+#: immediately; this bound only matters for pure time pressure
+#: (max-wait / deadline), and keeps the loop live under a virtual clock
+#: in tests.
 _DISPATCH_TICK_SECONDS = 0.05
 
 
@@ -125,48 +132,118 @@ def _set_depth(tenant: str, depth: int) -> None:
     ).set(depth, tenant=tenant)
 
 
+#: ``ServeTicket._outcome`` before resolution (a result is never this object).
+_PENDING = object()
+
+_log = logging.getLogger(__name__)
+
+
 class ServeTicket:
     """Handle to one admitted request; resolves to a vector or an error.
 
-    A thin wrapper over :class:`concurrent.futures.Future` carrying the
-    request's identity.  :meth:`result` blocks for (and returns) the
-    ``y`` vector, raising the structured error instead if the request
-    failed; :meth:`error` blocks and returns the exception instance (or
-    ``None``) without raising — the shape the engine's
-    ``return_errors`` path speaks.
+    :meth:`result` blocks for (and returns) the ``y`` vector, raising
+    the structured error instead if the request failed; :meth:`error`
+    blocks and returns the exception instance (or ``None``) without
+    raising — the shape the engine's ``return_errors`` path speaks.
+    Both raise :class:`TimeoutError` if ``timeout`` seconds pass first.
+
+    A ticket is slotted and holds no lock of its own: every ticket of a
+    front-end waits on one shared condition ``cond``, so a caller that
+    keeps its tickets retains a few fields and the outcome per request.
+    A ticket resolves exactly once, through :func:`_resolve`.
     """
 
-    def __init__(self, seq: int, tenant: str, matrix: str):
+    __slots__ = ("seq", "tenant", "matrix", "_cond", "_outcome", "_callbacks")
+
+    def __init__(self, seq: int, tenant: str, matrix: str, cond: threading.Condition):
         self.seq = seq
         self.tenant = tenant
         self.matrix = matrix
-        self._future: Future = Future()
+        self._cond = cond
+        self._outcome: object = _PENDING  # concurrency: guarded-by(self._cond)
+        self._callbacks: list | None = None  # concurrency: guarded-by(self._cond)
 
     def result(self, timeout: float | None = None) -> np.ndarray:
         """The result vector; raises the request's error on failure."""
-        return self._future.result(timeout)
+        outcome = self._wait(timeout)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     def error(self, timeout: float | None = None) -> BaseException | None:
         """Block until resolved; the error instance, or ``None`` if ok."""
-        return self._future.exception(timeout)
+        outcome = self._wait(timeout)
+        return outcome if isinstance(outcome, BaseException) else None
 
     def done(self) -> bool:
-        return self._future.done()
+        with self._cond:
+            return self._outcome is not _PENDING
 
     def add_done_callback(self, fn: Callable[["ServeTicket"], None]) -> None:
-        """Invoke ``fn(ticket)`` once resolved (immediately if done)."""
-        self._future.add_done_callback(lambda _future: fn(self))
+        """Invoke ``fn(ticket)`` once resolved (immediately if done).
 
-    # internal: called exactly once by the worker that resolves the batch
-    def _succeed(self, y: np.ndarray) -> None:
-        self._future.set_result(y)
+        A callback registered before resolution runs on the resolving
+        worker thread, after the ticket lock is released; one that
+        raises is logged and does not stop the others.
+        """
+        with self._cond:
+            if self._outcome is _PENDING:
+                if self._callbacks is None:
+                    self._callbacks = []
+                self._callbacks.append(fn)
+                return
+        fn(self)
 
-    def _fail(self, exc: BaseException) -> None:
-        self._future.set_exception(exc)
+    def _wait(self, timeout: float | None) -> object:
+        """Block until resolved; the result vector or the error instance."""
+        end = None if timeout is None else time.monotonic() + timeout
+        with self._cond:
+            while self._outcome is _PENDING:
+                remaining = None if end is None else end - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    raise TimeoutError(
+                        f"ticket seq={self.seq} unresolved after {timeout:g}s"
+                    )
+                self._cond.wait(remaining)
+            return self._outcome
+
+    def _settle(self, outcome: object) -> list | None:
+        """Record ``outcome``; the callbacks to run, or ``None`` if already done."""
+        with self._cond:
+            if self._outcome is not _PENDING:
+                return None
+            self._outcome = outcome
+            callbacks, self._callbacks = self._callbacks, None
+        return callbacks or []
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "done" if self.done() else "pending"
         return f"ServeTicket(seq={self.seq}, tenant={self.tenant!r}, {state})"
+
+
+def _resolve(cond: threading.Condition, outcomes: list) -> None:
+    """Resolve ``(ticket, y-or-error)`` pairs whose tickets share ``cond``.
+
+    Every ticket is settled in one critical section with one
+    ``notify_all``; the done-callbacks then run on this thread, in
+    ticket order, with no lock held.  A callback that raises is logged
+    (as :class:`concurrent.futures.Future` does) so the rest still run.
+    A ticket that was already resolved keeps its first outcome, and
+    :class:`~repro.errors.ServeError` is raised once every other ticket
+    has resolved and run its callbacks.
+    """
+    with cond:
+        settled = [(ticket, ticket._settle(outcome)) for ticket, outcome in outcomes]
+        cond.notify_all()
+    for ticket, callbacks in settled:
+        for fn in callbacks or ():
+            try:
+                fn(ticket)
+            except Exception:
+                _log.exception("done-callback of ticket seq=%d raised", ticket.seq)
+    twice = [ticket.seq for ticket, callbacks in settled if callbacks is None]
+    if twice:
+        raise ServeError(f"tickets {twice} were already resolved")
 
 
 @dataclass(frozen=True)
@@ -197,12 +274,26 @@ def _group_pressure(group: list, now: float) -> tuple[float, float | None]:
     return now - oldest, (min(expiries) - now) if expiries else None
 
 
+def _oldest(group: list) -> tuple[float, int]:
+    """The group's oldest request as ``(submitted_at, seq)``; seq breaks ties."""
+    return min((r.submitted_at, r.seq) for r in group)
+
+
+def _take(group: list, max_batch: int) -> list:
+    """Pop up to ``max_batch`` requests from ``group`` in urgency order."""
+    group.sort(key=_urgency)
+    take = group[:max_batch]
+    del group[:max_batch]
+    return take
+
+
 def _pop_due(
     pending: dict[str, list],
     policies: dict[str, FlushPolicy],
     default_policy: FlushPolicy,
     now: float,
     drain: bool,
+    idle: int,
 ) -> list[tuple[str, str, list]]:
     """Pop every due group as ``(matrix, cause, batch)`` triples.
 
@@ -214,6 +305,12 @@ def _pop_due(
     ``drain=True`` every pending request is taken regardless of
     pressure (shutdown path), still in ``max_batch``-sized
     urgency-ordered chunks.
+
+    ``idle`` is the number of workers with no batch (``workers`` minus
+    batches in flight).  Whatever of it the policy-driven batches leave
+    goes to the groups holding the oldest requests, one ``idle`` batch
+    each, so a request waits for company only while every worker is
+    busy.
     """
     batches: list[tuple[str, str, list]] = []
     for name, group in pending.items():
@@ -230,10 +327,16 @@ def _pop_due(
                 )
             if cause is None:
                 break
-            group.sort(key=_urgency)
-            take = group[: policy.max_batch]
-            del group[: policy.max_batch]
-            batches.append((name, cause, take))
+            batches.append((name, cause, _take(group, policy.max_batch)))
+    free = idle - len(batches)
+    if free > 0:
+        waiting = sorted(
+            (name for name, group in pending.items() if group),
+            key=lambda name: _oldest(pending[name]),
+        )
+        for name in waiting[:free]:
+            max_batch = policies.get(name, default_policy).max_batch
+            batches.append((name, "idle", _take(pending[name], max_batch)))
     return batches
 
 
@@ -263,11 +366,17 @@ class ServeFrontend:
     :class:`~repro.resilience.ResiliencePolicy` on it for per-batch
     deadlines, retries and breakers — the front-end adds the
     *per-request* deadline on top, checked before a request's batch is
-    handed to the engine.  ``workers`` sizes the execution pool (one
-    batch per worker at a time); the dispatcher itself is a single
-    extra thread.  ``clock`` is injectable
+    handed to the engine.  ``workers`` sizes the execution pool; the
+    dispatcher itself is a single extra thread.  Dispatch is
+    work-conserving: while fewer than ``workers`` batches are in
+    flight, the groups holding the oldest requests flush at once
+    (cause ``idle``), one per idle worker.  Only while every worker is
+    busy does a group wait for ``flush_policy``'s triggers, and a batch
+    those triggers flush then queues in the pool for the next free
+    worker.  ``clock`` is injectable
     (:class:`~repro.resilience.ManualClock` in tests) and feeds
-    admission timestamps, rate buckets and request deadlines alike.
+    admission timestamps, rate buckets, request deadlines and the
+    flush triggers alike.
 
     ``planner`` (a :class:`repro.plan.Planner`) makes registration
     plan-aware: each matrix registered while a planner is installed is
@@ -292,6 +401,7 @@ class ServeFrontend:
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
         self.engine = engine if engine is not None else SpMVEngine()
+        self.workers = workers
         self.planner = planner
         self.flush_policy = flush_policy or FlushPolicy()
         self.default_quota = default_quota or TenantQuota()
@@ -310,6 +420,12 @@ class ServeFrontend:
         self._buckets: dict[str, TokenBucket] = {}  # concurrency: guarded-by(self._cond)
         self._tenant_depth: dict[str, int] = {}  # concurrency: guarded-by(self._cond)
         self._closed = False  # concurrency: guarded-by(self._cond)
+        # batches handed to the pool and not yet finished, drain included
+        self._in_flight = 0  # concurrency: guarded-by(self._cond)
+        # Every ticket waits on this second condition.  It is never taken
+        # while self._cond is held, and its default RLock lets _resolve
+        # hold it across each ticket's own _settle.
+        self._ticket_cond = threading.Condition()
         self._pool = ThreadPoolExecutor(workers, thread_name_prefix="serve-worker")
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="serve-dispatch", daemon=True
@@ -430,7 +546,7 @@ class ServeFrontend:
                     Deadline(seconds, clock=self._clock) if seconds is not None else None
                 )
                 seq = next(self._seq)
-                ticket = ServeTicket(seq=seq, tenant=tenant, matrix=matrix)
+                ticket = ServeTicket(seq, tenant, matrix, self._ticket_cond)
                 self._pending[matrix].append(
                     _Pending(
                         seq=seq,
@@ -479,7 +595,7 @@ class ServeFrontend:
 
     # -- dispatch --------------------------------------------------------------
     def _dispatch_loop(self) -> None:
-        """Single dispatcher: waits for pressure, pops batches, fans out."""
+        """Single dispatcher: waits for an idle worker or pressure, fans out."""
         while True:
             with self._cond:
                 while True:
@@ -490,8 +606,10 @@ class ServeFrontend:
                         self.flush_policy,
                         now,
                         drain=self._closed,
+                        idle=self.workers - self._in_flight,
                     )
                     if batches:
+                        self._in_flight += len(batches)
                         break
                     if self._closed:
                         return  # drained: nothing pending, nothing due
@@ -535,36 +653,47 @@ class ServeFrontend:
         return outcomes
 
     def _run_batch(self, matrix: str, cause: str, batch: list) -> None:
-        """Worker: execute one coalesced batch and resolve its tickets."""
+        """Worker: execute one coalesced batch and resolve its tickets.
+
+        The batch's slot is released in a ``finally`` and the dispatcher
+        woken, so a raising metric cannot leave a worker counted busy;
+        the error is logged, since nothing reads the pool's future.
+        """
         try:
             outcomes = self._execute_outcomes(batch)
         except BaseException as exc:  # defensive: the seam above shouldn't raise
             outcomes = [(record, exc) for record in batch]
-        now = self._clock()
-        depths: dict[str, int] = {}
-        with self._cond:
-            for record, _result in outcomes:
-                self._tenant_depth[record.tenant] -= 1
-                depths[record.tenant] = self._tenant_depth[record.tenant]
-        # resolve tickets first, then publish metrics — a metrics error
-        # must never leave a caller blocked on an unresolved future
-        for record, result in outcomes:
-            if isinstance(result, BaseException):
-                record.ticket._fail(result)
-            else:
-                record.ticket._succeed(result)
-        for record, result in outcomes:
-            if isinstance(result, DeadlineExceededError):
-                outcome = "deadline"
-            elif isinstance(result, BaseException):
-                outcome = "error"
-            else:
-                outcome = "ok"
-            _count_request(record.tenant, outcome)
-            _observe_latency(record.tenant, now - record.submitted_at)
-        _count_batch(matrix, cause, size=len(batch))
-        for tenant, depth in depths.items():
-            _set_depth(tenant, depth)
+        try:
+            now = self._clock()
+            depths: dict[str, int] = {}
+            with self._cond:
+                for record, _result in outcomes:
+                    self._tenant_depth[record.tenant] -= 1
+                    depths[record.tenant] = self._tenant_depth[record.tenant]
+            # resolve tickets first, then publish metrics — a metrics error
+            # must never leave a caller blocked on an unresolved ticket
+            _resolve(
+                self._ticket_cond,
+                [(record.ticket, result) for record, result in outcomes],
+            )
+            for record, result in outcomes:
+                if isinstance(result, DeadlineExceededError):
+                    outcome = "deadline"
+                elif isinstance(result, BaseException):
+                    outcome = "error"
+                else:
+                    outcome = "ok"
+                _count_request(record.tenant, outcome)
+                _observe_latency(record.tenant, now - record.submitted_at)
+            _count_batch(matrix, cause, size=len(batch))
+            for tenant, depth in depths.items():
+                _set_depth(tenant, depth)
+        except Exception:
+            _log.exception("serve batch for matrix %r raised", matrix)
+        finally:
+            with self._cond:
+                self._in_flight -= 1
+                self._cond.notify_all()
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:

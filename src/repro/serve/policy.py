@@ -1,24 +1,31 @@
-"""Flush policies: when does a coalescing group become a micro-batch?
+"""Flush policies: when does a waiting coalescing group become a micro-batch?
 
-The front-end holds one pending group per registered matrix and must
-decide, continuously, whether to keep waiting (a bigger batch spreads
-its one cache lookup and one chain walk over more requests) or to
-flush now (a request is aging, or a deadline is about to burn).
-:class:`FlushPolicy` encodes that decision as a pure function of three
-observations — group size, oldest request age, and the earliest
-per-request deadline — so the dispatcher loop stays trivial and the
-policy itself is unit-testable against a
-:class:`~repro.resilience.ManualClock` without any threads.
+The front-end holds one pending group per registered matrix.  Its
+dispatcher is work-conserving: while a worker is idle it flushes the
+groups holding the oldest requests at once (cause ``idle``), so a group
+waits only while every worker is busy.  :class:`FlushPolicy` decides
+when that wait ends, as a pure function of three observations — group
+size, oldest request age, and the earliest per-request deadline — so
+the dispatcher loop stays trivial and the policy itself is
+unit-testable against a :class:`~repro.resilience.ManualClock` without
+any threads.
 
-Three triggers, checked in priority order:
+Waiting is not what makes a batch worth having: a batch shares one
+cache lookup and one chain walk, but each request is still
+fingerprinted and run as its own SpMV over the decoded operand
+(``spmv_many`` loops over the vectors).  A request waits because no
+worker is free, and the triggers bound that wait:
 
-* **max-batch** — the group reached ``max_batch`` requests; waiting
-  longer cannot improve amortization (the batch is full);
+* **max-batch** — the group reached ``max_batch`` requests (also the
+  cap on one batch, idle flushes included);
 * **max-wait** — the oldest request has waited ``max_wait_seconds``;
   latency is bounded even for unpopular matrices;
 * **deadline** — the earliest :class:`~repro.resilience.Deadline` in
   the group expires within ``deadline_slack_seconds``; flush now so the
   engine still has budget to run it.
+
+A batch these triggers flush while every worker is busy queues in the
+pool for the next free worker.
 """
 
 from __future__ import annotations
@@ -32,7 +39,10 @@ __all__ = ["FlushPolicy"]
 
 @dataclass(frozen=True)
 class FlushPolicy:
-    """When to turn a pending same-matrix group into a micro-batch.
+    """When a pending same-matrix group stops waiting for a free worker.
+
+    The front-end consults it only while every worker is busy; an idle
+    worker takes the oldest group at once, whatever the policy says.
 
     * ``max_batch`` — flush as soon as the group holds this many
       requests (also the cap on how many requests one flush takes; the
@@ -99,7 +109,9 @@ class FlushPolicy:
         deadline expires (``None`` when no request carries one).
         Returns ``"max-batch"`` / ``"max-wait"`` / ``"deadline"`` — the
         cause is recorded on the ``serve_batches_total`` metric so a
-        trajectory shows *why* batches flushed, not just how big.
+        trajectory shows *why* batches flushed, not just how big (the
+        dispatcher records its own ``idle`` and ``drain`` flushes there
+        too).
         """
         if size <= 0:
             return None

@@ -55,10 +55,10 @@ def test_append_and_refuse_to_clobber(tmp_path, artifact, result_type, key):
     assert "run_report" not in entries[0][key]  # lifted beside the entry
     if result.with_report:
         assert entries[0]["report"] == result.as_dict()["run_report"]
+    # entries keep the shape the committed artifact already has
     seeded = SEEDED / artifact
-    if seeded.exists():
-        # entries keep the shape the committed artifact already has
-        assert set(json.loads(seeded.read_text())[0]) == expected
+    assert seeded.exists(), f"{seeded} is not committed"
+    assert set(json.loads(seeded.read_text())[0]) == expected
 
     for foreign in ("not json at all", '{"not": "a trajectory"}'):
         path.write_text(foreign)

@@ -5,12 +5,21 @@ batching guarantee: however requests arrive — many threads, many
 tenants, coalesced into whatever micro-batches the flush policy picks —
 every admitted request resolves with either the bitwise-identical
 result a serial :meth:`~repro.engine.SpMVEngine.spmv` would produce or
-a structured error.  Plus the front-door behaviors around it: admission
-control, quotas, deadlines, drain-on-close, and the ``serve_*``
-metrics.
+a structured error.  Plus the front-door behaviors around it:
+work-conserving dispatch, admission control, quotas, deadlines,
+drain-on-close, and the ``serve_*`` metrics.
+
+A free worker takes a pending request at once, so the dispatcher races
+the test thread by design.  Tests that need a request to stay queued
+while a virtual clock moves hold every worker at the gate of a
+:class:`_GatedEngine` first.
 """
 
+import math
+import queue
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -47,6 +56,66 @@ def _csr(rng, nrows=48, ncols=40) -> CSRMatrix:
 
 def _counter_value(name, help_text, label_names, **labels) -> float:
     return get_registry().counter(name, help_text, labels=label_names).value(**labels)
+
+
+def _batches(matrix: str, cause: str) -> float:
+    """``serve_batches_total`` for one matrix and flush cause."""
+    return _counter_value(
+        "serve_batches_total",
+        "Coalesced micro-batches flushed to the engine, by flush cause.",
+        ("matrix", "cause"),
+        matrix=matrix,
+        cause=cause,
+    )
+
+
+class _GatedEngine(SpMVEngine):
+    """A spaden engine whose ``spmv_many`` waits at a gate the test opens.
+
+    Each batch puts the CSR of its first request on ``arrivals`` as it
+    reaches the engine, then waits for a permit.  ``release(n)`` lets
+    ``n`` waiting or later batches through; ``release()`` opens the
+    gate for good.
+    """
+
+    def __init__(self):
+        super().__init__("spaden")
+        self.arrivals: queue.SimpleQueue = queue.SimpleQueue()
+        self._gate = threading.Condition()
+        self._permits = 0
+
+    def spmv_many(self, requests, **kwargs):
+        self.arrivals.put(requests[0][0])
+        with self._gate:
+            while self._permits <= 0:
+                self._gate.wait()
+            self._permits -= 1
+        return super().spmv_many(requests, **kwargs)
+
+    def release(self, batches: float = math.inf) -> None:
+        with self._gate:
+            self._permits += batches
+            self._gate.notify_all()
+
+    def arrived(self) -> CSRMatrix:
+        """The CSR of the next batch to reach the gate."""
+        return self.arrivals.get(timeout=10)
+
+
+def _wait_until_closed(frontend: ServeFrontend, matrix: str) -> None:
+    """Poll until ``close()`` has shut admission.
+
+    A vector of the wrong length raises :class:`KernelError` while the
+    front-end is open (and admits nothing) and :class:`ServeError` once
+    it is closed.
+    """
+    while True:
+        try:
+            frontend.submit(matrix, np.ones(1, np.float32))
+        except KernelError:
+            time.sleep(0.001)
+        except ServeError:
+            return
 
 
 class TestRegistration:
@@ -151,14 +220,18 @@ class TestBitwiseCorrectness:
 
     def test_traffic_actually_coalesced(self, rng):
         csr = _csr(rng)
+        engine = _GatedEngine()
         frontend = ServeFrontend(
-            SpMVEngine("spaden"),
+            engine,
             workers=2,
             flush_policy=FlushPolicy(max_batch=16, max_wait_seconds=0.05),
         )
         frontend.register_matrix("A", csr)
         xs = [rng.standard_normal(csr.ncols).astype(np.float32) for _ in range(16)]
+        # the workers stay at the gate until every request is in, so the
+        # requests behind them coalesce instead of racing the submits
         tickets = [frontend.submit("A", x) for x in xs]
+        engine.release()
         frontend.close()
         assert all(t.error() is None for t in tickets)
         stats = frontend.engine.stats
@@ -175,14 +248,149 @@ class TestBitwiseCorrectness:
         )
 
 
+class TestWorkConservingDispatch:
+    """A request waits for a batch only while every worker is busy."""
+
+    def test_free_worker_takes_a_request_without_waiting(self, rng):
+        csr = _csr(rng)
+        frontend = ServeFrontend(
+            SpMVEngine("spaden"),
+            workers=1,
+            flush_policy=FlushPolicy(max_batch=64, max_wait_seconds=100.0),
+            clock=ManualClock(),
+        )
+        frontend.register_matrix("A", csr)
+        x = rng.standard_normal(csr.ncols).astype(np.float32)
+        ticket = frontend.submit("A", x)
+        # the clock never moves, so no policy trigger can fire
+        assert np.array_equal(ticket.result(timeout=5), SpMVEngine("spaden").spmv(csr, x))
+        frontend.close()
+        assert _batches("A", "idle") == 1
+
+    def test_idle_slots_go_to_the_groups_with_the_oldest_requests(self, rng):
+        csrs = {name: _csr(rng) for name in "ABC"}
+        engine = _GatedEngine()
+        frontend = ServeFrontend(
+            engine,
+            workers=2,
+            flush_policy=FlushPolicy(max_batch=64, max_wait_seconds=100.0),
+            clock=ManualClock(),
+        )
+        for name, csr in csrs.items():
+            frontend.register_matrix(name, csr)
+        x = rng.standard_normal(40).astype(np.float32)
+        order = ["A", "B", "C"]
+        tickets = [frontend.submit(name, x) for name in order]
+        # two workers, two idle batches in flight; the third group waits
+        assert {id(engine.arrived()) for _ in range(2)} == {id(csrs["A"]), id(csrs["B"])}
+        with pytest.raises(queue.Empty):
+            engine.arrivals.get(timeout=0.2)
+        # a hot matrix queues again behind the waiting cold one
+        order.append("A")
+        tickets.append(frontend.submit("A", x))
+        engine.release(1)
+        assert engine.arrived() is csrs["C"]  # holds the oldest request
+        engine.release(1)
+        assert engine.arrived() is csrs["A"]
+        engine.release()
+        frontend.close()
+        serial = SpMVEngine("spaden")
+        for name, ticket in zip(order, tickets):
+            assert np.array_equal(ticket.result(), serial.spmv(csrs[name], x))
+        assert [_batches(name, "idle") for name in "ABC"] == [2, 1, 1]
+
+    def test_only_idle_slots_serve_a_frozen_clock_under_contention(self, rng):
+        """8 workers, 4 closed-loop clients, a tiny switch interval.
+
+        With the clock frozen and batches that never fill, no policy
+        trigger fires, so every request is served by an idle flush; a
+        lost update of the in-flight count would leave one waiting
+        forever.
+        """
+        csrs = {name: _csr(rng) for name in "ABC"}
+        serial = SpMVEngine("spaden")
+        xs = [rng.standard_normal(40).astype(np.float32) for _ in range(4)]
+        frontend = ServeFrontend(
+            SpMVEngine("spaden"),
+            workers=8,
+            flush_policy=FlushPolicy(max_batch=64, max_wait_seconds=100.0),
+            clock=ManualClock(),
+        )
+        for name, csr in csrs.items():
+            frontend.register_matrix(name, csr)
+
+        def client(offset):
+            for i in range(25):
+                name, x = "ABC"[(offset + i) % 3], xs[i % len(xs)]
+                y = frontend.submit(name, x, tenant=f"t{offset}").result(timeout=10)
+                assert np.array_equal(y, serial.spmv(csrs[name], x))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                for done in [pool.submit(client, offset) for offset in range(4)]:
+                    done.result(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        frontend.close()
+        causes = {
+            labels["cause"]
+            for labels, _value in get_registry().get("serve_batches_total").labeled()
+        }
+        assert causes == {"idle"}
+        assert frontend.engine.stats.requests == 100
+
+    @pytest.mark.parametrize("fault", ["callback", "metric"])
+    def test_a_raising_callback_or_metric_frees_its_worker(
+        self, rng, monkeypatch, caplog, fault
+    ):
+        csr = _csr(rng)
+        engine = _GatedEngine()
+        frontend = ServeFrontend(
+            engine,
+            workers=1,
+            flush_policy=FlushPolicy(max_batch=64, max_wait_seconds=100.0),
+            clock=ManualClock(),
+        )
+        frontend.register_matrix("A", csr)
+        x = rng.standard_normal(csr.ncols).astype(np.float32)
+        calls = []
+
+        def boom(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError(f"{fault} failed")
+
+        if fault == "metric":
+            monkeypatch.setattr("repro.serve.frontend._count_batch", boom)
+        first = frontend.submit("A", x)
+        assert engine.arrived() is csr  # held, so the callback lands first
+        if fault == "callback":
+            first.add_done_callback(boom)
+        engine.release()
+        assert first.error(timeout=5) is None
+        # the frozen clock fires no trigger: only a freed worker takes it
+        second = frontend.submit("A", x)
+        assert second.error(timeout=5) is None
+        frontend.close()
+        if fault == "callback":
+            assert calls == [(first,)]
+            assert _batches("A", "idle") == 2
+        else:
+            assert len(calls) == 2
+        assert f"{fault} failed" in caplog.text  # reported, not lost
+
+
 class TestQuotas:
     def test_queue_depth_quota_rejects_structurally(self, rng):
         csr = _csr(rng)
         clock = ManualClock()
-        # a frozen clock never ages the group past max_wait, and the
-        # batch never fills: admitted requests stay in flight
+        engine = _GatedEngine()
+        # a frozen clock never ages the group past max_wait, the batch
+        # never fills, and the only worker is held at the gate: admitted
+        # requests stay in flight
         frontend = ServeFrontend(
-            SpMVEngine("spaden"),
+            engine,
             workers=1,
             flush_policy=FlushPolicy(max_batch=64, max_wait_seconds=5.0),
             clock=clock,
@@ -190,6 +398,8 @@ class TestQuotas:
         frontend.register_matrix("A", csr)
         frontend.set_quota("t0", TenantQuota(max_queue_depth=2))
         x = rng.standard_normal(csr.ncols).astype(np.float32)
+        blocker = frontend.submit("A", x, tenant="blocker")
+        assert engine.arrived() is csr
 
         frontend.submit("A", x, tenant="t0")
         frontend.submit("A", x, tenant="t0")
@@ -215,8 +425,12 @@ class TestQuotas:
         )
         clock.advance(6.0)
         frontend.poke()
+        engine.release()
+        # resolved before close(), which would flush the group as drain
+        assert other.error(timeout=10) is None
         frontend.close()
-        assert other.error() is None
+        assert blocker.error() is None
+        assert _batches("A", "max-wait") == 1
 
     def test_rate_quota_uses_the_injected_clock(self, rng):
         csr = _csr(rng)
@@ -246,19 +460,24 @@ class TestDeadlines:
     def test_expired_request_resolves_with_deadline_error(self, rng):
         csr = _csr(rng)
         clock = ManualClock()
+        engine = _GatedEngine()
         frontend = ServeFrontend(
-            SpMVEngine("spaden"),
+            engine,
             workers=1,
             flush_policy=FlushPolicy(max_batch=64, max_wait_seconds=100.0),
             clock=clock,
         )
         frontend.register_matrix("A", csr)
         x = rng.standard_normal(csr.ncols).astype(np.float32)
+        frontend.submit("A", x, tenant="blocker")
+        assert engine.arrived() is csr  # the only worker is busy
         doomed = frontend.submit("A", x, tenant="t0", deadline_seconds=5.0)
         clock.advance(6.0)  # past the deadline, before any flush trigger
         frontend.poke()
+        engine.release()
         assert isinstance(doomed.error(timeout=10), DeadlineExceededError)
         frontend.close()
+        assert _batches("A", "deadline") == 1
         assert (
             _counter_value(
                 "serve_requests_total",
@@ -273,8 +492,9 @@ class TestDeadlines:
     def test_deadline_pressure_flushes_early(self, rng):
         csr = _csr(rng)
         clock = ManualClock()
+        engine = _GatedEngine()
         frontend = ServeFrontend(
-            SpMVEngine("spaden"),
+            engine,
             workers=1,
             flush_policy=FlushPolicy(
                 max_batch=64, max_wait_seconds=100.0, deadline_slack_seconds=2.0
@@ -283,33 +503,49 @@ class TestDeadlines:
         )
         frontend.register_matrix("A", csr)
         x = rng.standard_normal(csr.ncols).astype(np.float32)
+        frontend.submit("A", x, tenant="blocker")
+        assert engine.arrived() is csr  # the only worker is busy
         ticket = frontend.submit("A", x, deadline_seconds=10.0)
         clock.advance(9.0)  # 1s of budget left, inside the 2s slack
         frontend.poke()
+        engine.release()
         # flushed by deadline pressure with budget remaining: it succeeds
         assert ticket.error(timeout=10) is None
         assert np.array_equal(ticket.result(), SpMVEngine("spaden").spmv(csr, x))
         frontend.close()
+        assert _batches("A", "deadline") == 1
 
 
 class TestDrain:
     def test_close_resolves_everything_pending(self, rng):
-        csr = _csr(rng)
-        clock = ManualClock()
+        csrs = {name: _csr(rng) for name in "ABC"}
+        engine = _GatedEngine()
         frontend = ServeFrontend(
-            SpMVEngine("spaden"),
+            engine,
             workers=2,
             flush_policy=FlushPolicy(max_batch=64, max_wait_seconds=100.0),
-            clock=clock,
+            clock=ManualClock(),
         )
-        frontend.register_matrix("A", csr)
-        xs = [rng.standard_normal(csr.ncols).astype(np.float32) for _ in range(5)]
-        tickets = [frontend.submit("A", x) for x in xs]
-        # nothing is due under the frozen clock; close() must drain
-        frontend.close()
-        for ticket, x in zip(tickets, xs):
+        for name, csr in csrs.items():
+            frontend.register_matrix(name, csr)
+        xs = [rng.standard_normal(40).astype(np.float32) for _ in range(5)]
+        held = [frontend.submit(name, xs[0]) for name in "AB"]
+        engine.arrived(), engine.arrived()  # both workers are busy
+        plan = [("ABC"[i % 3], x) for i, x in enumerate(xs)]
+        tickets = [frontend.submit(name, x) for name, x in plan]
+        # nothing is due under the frozen clock and no worker is free;
+        # close() must drain
+        closer = threading.Thread(target=frontend.close)
+        closer.start()
+        _wait_until_closed(frontend, "A")
+        engine.release()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+        serial = SpMVEngine("spaden")
+        for ticket, (name, x) in zip(held + tickets, [("A", xs[0]), ("B", xs[0])] + plan):
             assert ticket.error() is None
-            assert np.array_equal(ticket.result(), SpMVEngine("spaden").spmv(csr, x))
+            assert np.array_equal(ticket.result(), serial.spmv(csrs[name], x))
+        assert [_batches(name, "drain") for name in "ABC"] == [1, 1, 1]
 
     def test_run_report_carries_frontend_meta(self, rng):
         with ServeFrontend(SpMVEngine("spaden"), workers=1) as frontend:
