@@ -7,11 +7,12 @@ Two execution paths share the same semantics:
   per-lane through :mod:`repro.gpu`.  This is the ground truth for the
   algorithm and the source of exact traffic counters, but it is a Python
   loop over warps, so use it for verification-scale matrices.
-* :func:`spaden_spmv` is the vectorized NumPy equivalent (identical
-  arithmetic) used for full-scale benchmarking.  It runs on the matrix's
+* :func:`spaden_spmv_many` is the vectorized NumPy equivalent
+  (identical arithmetic) used for full-scale benchmarking, and
+  :func:`spaden_spmv` its one-vector case.  It runs on the matrix's
   memoized :meth:`~repro.formats.bitbsr.BitBSRMatrix.run_view`, so the
-  bitmaps are decoded once per matrix, not once per call;
-  :func:`spaden_spmv_many` is a loop over it.
+  bitmaps are decoded once per matrix, not once per call, and it
+  allocates its per-vector buffers once per call.
 
 Both honor the mixed-precision pipeline: bitBSR stores half-precision
 values, fragment B receives a half-precision x, products accumulate in
@@ -107,25 +108,12 @@ def spaden_spmv(
     Mathematically identical to :func:`spaden_spmv_simulated`: values and
     the x operand are rounded to the input precision, every product is a
     float32 multiply, and per-row sums accumulate in float32-or-wider.
-    One gather-multiply-``bincount`` over the matrix's run view; a
-    ``precision`` other than the matrix's own reuses the view's
-    coordinates and rounds the stored values on each call.
+    It is :func:`spaden_spmv_many` on a batch of one.
     """
     x = np.asarray(x)
     if x.ndim != 1 or x.shape[0] != bitbsr.ncols:
         raise KernelError(f"x has shape {x.shape}, expected ({bitbsr.ncols},)")
-    view = bitbsr.run_view()
-    vals = view.values
-    if precision is None:
-        precision = bitbsr.input_precision
-    elif precision is not bitbsr.input_precision:
-        vals = round_inputs(bitbsr.values, precision)
-    xf = round_inputs(x.astype(np.float32), precision)
-    # lint: ignore[fp64-upcast] -- np.bincount only takes float64 weights;
-    # products are already rounded to the input precision grid
-    products = (vals * xf[view.cols]).astype(np.float64)
-    y = np.bincount(view.rows, weights=products, minlength=bitbsr.nrows)
-    return y.astype(np.float32)[: bitbsr.nrows]
+    return spaden_spmv_many(bitbsr, x[None, :], precision)[0]
 
 
 def _check_batch(X: np.ndarray, ncols: int) -> np.ndarray:
@@ -140,18 +128,46 @@ def spaden_spmv_many(
     X: np.ndarray,
     precision: Precision | None = None,
 ) -> np.ndarray:
-    """Batched Spaden SpMV: :func:`spaden_spmv` on each row of ``X``.
+    """Batched Spaden SpMV: one gather-multiply-``bincount`` per row of ``X``.
 
-    ``X`` holds ``k`` input vectors as rows; result row ``j`` is
-    ``spaden_spmv(bitbsr, X[j])`` by construction, so it is
-    bitwise-identical to the single-vector path.  Every vector reuses
-    the matrix's run view: the bitmap decode is paid once per matrix,
-    not once per batch.
+    ``X`` holds ``k`` input vectors as rows, and row ``j`` of the result
+    is ``spaden_spmv(bitbsr, X[j])``.  Every vector runs on the matrix's
+    run view, so the bitmap decode is paid once per matrix; a
+    ``precision`` other than the matrix's own reuses the view's
+    coordinates and rounds the stored values once per call.  The
+    gather/product buffer, its float64 copy and the ``intp`` row ids
+    that ``np.bincount`` takes are allocated once per call, as one
+    block, and reused by every vector, so a batch does not allocate per
+    vector what grows with nnz.
     """
     X = _check_batch(X, bitbsr.ncols)
+    view = bitbsr.run_view()
+    vals = view.values
+    if precision is None:
+        precision = bitbsr.input_precision
+    elif precision is not bitbsr.input_precision:
+        vals = round_inputs(bitbsr.values, precision)
+    # One block rather than three: freed as three, the buffers of a 1M-nnz
+    # call went back to the OS after every call and were faulted in again
+    # (about 4,500 minor page faults per call, measured); as one block
+    # they stay mapped from call to call.
+    nnz = view.cols.size
+    rows_at = 8 * nnz
+    products_at = rows_at + np.dtype(np.intp).itemsize * nnz
+    block = np.empty(products_at + 4 * nnz, dtype=np.uint8)
+    # lint: ignore[fp64-upcast] -- np.bincount only takes float64 weights;
+    # products are already rounded to the input precision grid
+    weights = block[:rows_at].view(np.float64)
+    rows = block[rows_at:products_at].view(np.intp)
+    products = block[products_at:].view(np.float32)
+    np.copyto(rows, view.rows)
     Y = np.empty((X.shape[0], bitbsr.nrows), dtype=np.float32)
     for j in range(X.shape[0]):
-        Y[j] = spaden_spmv(bitbsr, X[j], precision)
+        xf = round_inputs(X[j].astype(np.float32), precision)
+        np.take(xf, view.cols, out=products)
+        np.multiply(vals, products, out=products)
+        np.copyto(weights, products)
+        Y[j] = np.bincount(rows, weights=weights, minlength=bitbsr.nrows)[: bitbsr.nrows]
     return Y
 
 

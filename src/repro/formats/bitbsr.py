@@ -15,11 +15,14 @@ operand.  The resulting footprint is ``2 B/nnz + 16 B/block``, which
 reproduces the paper's measured 2.85 B/nnz average (Fig. 10b).
 
 On the GPU, Algorithm 2 decodes each bitmap in registers as the warp
-loads it.  The vectorized host twin instead decodes once per matrix:
-:meth:`BitBSRMatrix.run_view` memoizes the per-entry coordinates and
-rounded values on the first numeric run and freezes the storage arrays,
-so the memo can never serve a stale ``y``.  The view is host memory
-only; the device footprint above does not include it.
+loads it, testing bits and ranking them with popcount.  The host twin
+decodes by the byte instead (:func:`~repro.utils.bitops.expand_bitmap_rows`):
+byte ``r`` of a bitmap is block row ``r``, so only the non-empty rows are
+expanded, in O(nnz + 8 * nblocks) work and memory.  It decodes once per
+matrix: :meth:`BitBSRMatrix.run_view` memoizes the per-entry coordinates
+and rounded values on the first numeric run and freezes the storage
+arrays, so the memo can never serve a stale ``y``.  The view is host
+memory only; the device footprint above does not include it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.formats.base import ArrayField, SparseMatrix, _dtype_matches, registe
 from repro.formats.bsr import BSRMatrix, block_coordinates
 from repro.formats.coo import COOMatrix
 from repro.gpu.mma import Precision, round_inputs
-from repro.utils.bitops import popcount
+from repro.utils.bitops import expand_bitmap_rows, popcount
 from repro.utils.scan import exclusive_scan, segment_ids
 
 __all__ = ["BitBSRMatrix", "RunView"]
@@ -226,20 +229,24 @@ class BitBSRMatrix(SparseMatrix):
         ptr = exclusive_scan(counts)
         return cls(bsr.shape, ptr, bsr.block_cols[keep], bitmaps, values, value_dtype=value_dtype)
 
-    def entry_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+    def entry_coordinates(self, dtype: np.dtype | type = np.int64) -> tuple[np.ndarray, np.ndarray]:
         """Global (rows, cols) of every stored nonzero, in storage order.
 
-        Fully vectorized bitmap expansion: build the (nblocks, 64)
-        occupancy mask via broadcast shifts, then read off set positions.
+        Decodes the bitmaps by the byte
+        (:func:`~repro.utils.bitops.expand_bitmap_rows`): each non-empty
+        block row gets its global row and column base once, in
+        ``dtype``, and ``np.repeat`` spreads them over its set bits, so
+        work and memory are O(nnz + 8 * nblocks) and a narrow ``dtype``
+        is built without an int64 copy.  ``dtype`` must hold
+        ``max(shape)``.
         """
-        if self.nblocks == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.int64)
-        shifts = np.arange(BLOCK_SIZE, dtype=_U64)
-        mask = ((self.bitmaps[:, None] >> shifts[None, :]) & _U64(1)).astype(bool)
-        bidx, pos = np.nonzero(mask)
-        rows = self.block_row_of()[bidx] * BLOCK_DIM + pos // BLOCK_DIM
-        cols = self.block_cols[bidx].astype(np.int64) * BLOCK_DIM + pos % BLOCK_DIM
-        return rows, cols
+        row_ids, counts, cols = expand_bitmap_rows(self.bitmaps)
+        block = row_ids // BLOCK_DIM
+        row = self.block_row_of()[block] * BLOCK_DIM + row_ids % BLOCK_DIM
+        col_base = self.block_cols[block].astype(dtype, copy=False) * BLOCK_DIM
+        entry_cols = np.repeat(col_base, counts)
+        entry_cols += cols
+        return np.repeat(row.astype(dtype, copy=False), counts), entry_cols
 
     # -- run view ---------------------------------------------------------------
     def _index_dtype(self) -> np.dtype:
@@ -263,9 +270,9 @@ class BitBSRMatrix(SparseMatrix):
         """The memoized run-ready decode the vectorized kernel runs on.
 
         The first call decodes the bitmaps once through
-        :meth:`entry_coordinates` into the narrowest index type that
-        fits, and rounds the values to :attr:`input_precision`, all in
-        storage order; later calls return the same view.  Building it
+        :meth:`entry_coordinates`, straight into the narrowest index type
+        that fits, and rounds the values to :attr:`input_precision`, all
+        in storage order; later calls return the same view.  Building it
         freezes the five storage arrays, so an in-place write afterwards
         raises ``ValueError`` instead of leaving the view stale, and
         replacing a storage array makes the next call decode again.  The
@@ -277,14 +284,8 @@ class BitBSRMatrix(SparseMatrix):
         if view is None or any(a is not b for a, b in zip(view.storage, storage)):
             for array in storage:
                 array.flags.writeable = False
-            rows, cols = self.entry_coordinates()
-            index = self._index_dtype()
-            view = RunView(
-                rows.astype(index),
-                cols.astype(index),
-                round_inputs(self.values, self.input_precision),
-                storage,
-            )
+            rows, cols = self.entry_coordinates(self._index_dtype())
+            view = RunView(rows, cols, round_inputs(self.values, self.input_precision), storage)
             self._run_view = view
         return view
 
@@ -316,11 +317,10 @@ class BitBSRMatrix(SparseMatrix):
     def tobsr(self) -> BSRMatrix:
         """Decompress back to dense-block BSR (the decode ground truth)."""
         blocks = np.zeros((self.nblocks, BLOCK_DIM, BLOCK_DIM), dtype=np.float32)
-        if self.nblocks:
-            shifts = np.arange(BLOCK_SIZE, dtype=_U64)
-            mask = ((self.bitmaps[:, None] >> shifts[None, :]) & _U64(1)).astype(bool)
-            flat = blocks.reshape(self.nblocks, BLOCK_SIZE)
-            flat[mask] = self.values.astype(np.float32)
+        row_ids, counts, cols = expand_bitmap_rows(self.bitmaps)
+        # row ``block * 8 + r`` of this view is row ``r`` of stored block ``block``
+        block_rows = blocks.reshape(-1, BLOCK_DIM)
+        block_rows[np.repeat(row_ids, counts), cols] = self.values.astype(np.float32)
         return BSRMatrix(self.shape, self.block_row_pointers.copy(), self.block_cols.copy(), blocks, BLOCK_DIM)
 
     # -- computation -----------------------------------------------------------
@@ -382,10 +382,10 @@ class BitBSRMatrix(SparseMatrix):
                 f"at block {block} ({int(self.block_offsets[block])} != {int(scanned[block])})",
                 format_name=self.format_name, check="offset-scan", coord=(block,),
             )
-        rows, cols = self.entry_coordinates()
+        # decode only to label a bad value: a clean matrix never pays for it
         self._check_finite(
             self.values, "packed values",
-            coords=lambda pos: (int(rows[pos]), int(cols[pos])),
+            coords=lambda pos: tuple(int(a[pos]) for a in self.entry_coordinates()),
         )
 
     # -- analysis / accounting ----------------------------------------------------

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from repro.constants import BLOCK_DIM, BLOCK_SIZE, SECTOR_BYTES, WARP_SIZE
+from repro.constants import BLOCK_DIM, SECTOR_BYTES, WARP_SIZE
 from repro.core.builder import build_bitbsr
 from repro.core.spmv import (
     spaden_spmv,
@@ -43,20 +43,17 @@ from repro.kernels.base import (
     touched_sector_bytes,
 )
 from repro.perf.preprocessing import model_preprocessing_seconds
+from repro.utils.bitops import expand_bitmap_rows
 
 __all__ = ["SpadenKernel"]
-
-_U64 = np.uint64
 
 
 def _entry_bit_parity(bitbsr: BitBSRMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(block id, bit-position parity) of every stored value, in order."""
-    if bitbsr.nblocks == 0:
-        return np.zeros(0, np.int64), np.zeros(0, bool)
-    shifts = np.arange(BLOCK_SIZE, dtype=_U64)
-    mask = ((bitbsr.bitmaps[:, None] >> shifts[None, :]) & _U64(1)).astype(bool)
-    bidx, pos = np.nonzero(mask)
-    return bidx.astype(np.int64), (pos % 2 == 1)
+    row_ids, counts, cols = expand_bitmap_rows(bitbsr.bitmaps)
+    block = (row_ids // BLOCK_DIM).astype(np.int64, copy=False)
+    # bit r * 8 + c is odd exactly when its column c is
+    return np.repeat(block, counts), (cols % 2 == 1)
 
 
 @register_kernel
@@ -97,11 +94,13 @@ class SpadenKernel(SpMVKernel):
         return spaden_spmv(prepared.data, x)
 
     def run_many(self, prepared: PreparedOperand, X: np.ndarray) -> np.ndarray:
-        """Batch as a loop of the single-vector path over one run view.
+        """Batch as one loop over the operand's run view.
 
         Row ``j`` of the result is ``run(prepared, X[j])`` by
-        construction; the bitBSR decode is paid once per operand, on its
-        first run (see :func:`repro.core.spmv.spaden_spmv_many`).
+        construction: ``run`` is the same loop on a batch of one.  The
+        bitBSR decode is paid once per operand, on its first run, and
+        the per-vector buffers once per call (see
+        :func:`repro.core.spmv.spaden_spmv_many`).
         """
         X = self._check_many(prepared, X)
         return spaden_spmv_many(prepared.data, X)

@@ -6,6 +6,7 @@ from repro.utils.bitops import (
     bitmap_from_dense,
     bitmap_to_dense,
     bitmap_row,
+    expand_bitmap_rows,
     extract_bit,
     popcount,
     popcount_below,
@@ -26,6 +27,7 @@ __all__ = [
     "bitmap_from_dense",
     "bitmap_to_dense",
     "bitmap_row",
+    "expand_bitmap_rows",
     "extract_bit",
     "popcount",
     "popcount_below",

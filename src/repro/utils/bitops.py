@@ -5,9 +5,17 @@ unsigned integer: bit ``r * 8 + c`` is set when element ``(r, c)`` of the
 block is nonzero.  The least significant bit is the block's top-left
 element and the most significant bit its bottom-right one (Fig. 4).
 
-Everything here operates on NumPy ``uint64`` arrays so whole matrices can
-be encoded or decoded without Python-level loops, per the vectorization
-guidance for numerical Python.
+Everything here operates on whole NumPy arrays, so matrices are encoded
+or decoded without Python-level loops:
+
+* :func:`popcount`, :func:`popcount_below` and :func:`extract_bit` count
+  and test bits of ``uint64`` bitmaps (Algorithm 2's rank arithmetic);
+* :func:`expand_bitmap_rows` decodes whole bitmap arrays by the byte —
+  byte ``r`` of a little-endian bitmap is row ``r`` of its block — into
+  the set bits of every non-empty block row, in bit order;
+* :func:`bit_positions`, :func:`bitmap_from_coords`,
+  :func:`bitmap_from_dense`, :func:`bitmap_to_dense` and
+  :func:`bitmap_row` encode or decode one bitmap.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ __all__ = [
     "bitmap_from_dense",
     "bitmap_to_dense",
     "bitmap_row",
+    "expand_bitmap_rows",
 ]
 
 _U64 = np.uint64
@@ -35,6 +44,9 @@ _M1 = _U64(0x5555555555555555)
 _M2 = _U64(0x3333333333333333)
 _M4 = _U64(0x0F0F0F0F0F0F0F0F)
 _H01 = _U64(0x0101010101010101)
+
+#: Set bits of every byte value: one block row's nonzero count.
+_ROW_POPCOUNT = np.array([bin(v).count("1") for v in range(1 << BLOCK_DIM)], dtype=np.uint8)
 
 
 def popcount(bitmaps: np.ndarray | int) -> np.ndarray | int:
@@ -137,3 +149,32 @@ def bitmap_row(bitmap: int | np.unsignedinteger, row: int) -> int:
     if not 0 <= row < BLOCK_DIM:
         raise ValueError("row out of range")
     return (int(bitmap) >> (row * BLOCK_DIM)) & 0xFF
+
+
+def expand_bitmap_rows(bitmaps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode 64-bit block bitmaps by the byte, into their set bits in bit order.
+
+    Read as little-endian bytes, byte ``r`` of a bitmap is row ``r`` of
+    its 8x8 block and bit ``c`` of that byte is column ``c`` (bit
+    ``r * 8 + c`` of the bitmap).  Only the non-empty bytes are kept.
+    Returns ``(row_ids, counts, cols)``:
+
+    * ``row_ids`` — ``block * 8 + r`` of every non-empty block row,
+      ascending (``intp``);
+    * ``counts`` — the set bits of each of those rows (``uint8``, from a
+      256-entry popcount table);
+    * ``cols`` — the column of every set bit (``uint8``), row after row
+      and ascending within a row.
+
+    That is every set bit block after block in ascending bit position,
+    the order bitBSR packs its values in, so ``np.repeat(f(row_ids),
+    counts)`` gives any per-row quantity per stored value, already in
+    the caller's dtype.  Work and memory are O(nnz + 8 * nblocks).
+    """
+    data = np.ascontiguousarray(bitmaps, dtype="<u8").reshape(-1).view(np.uint8)
+    row_ids = np.flatnonzero(data != 0)
+    row_bits = data[row_ids]
+    # bit c of the i-th kept row sits at 8 * i + c of the unpacked rows
+    cols = np.flatnonzero(np.unpackbits(row_bits, bitorder="little").view(bool))
+    cols &= BLOCK_DIM - 1
+    return row_ids, _ROW_POPCOUNT[row_bits], cols.astype(np.uint8)

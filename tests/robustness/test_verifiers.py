@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.constants import BLOCK_DIM
 from repro.core.builder import build_bitbsr
 from repro.core.spmv import spaden_spmv_simulated
 from repro.errors import (
@@ -22,8 +23,10 @@ from repro.errors import (
     VerificationError,
 )
 from repro.formats import available_formats, convert
+from repro.formats.bitbsr import BitBSRMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
+from repro.utils.bitops import bit_positions
 
 from tests.conftest import make_random_dense
 
@@ -57,6 +60,30 @@ def test_nan_error_carries_coordinates(coo):
     row, col = excinfo.value.coord
     assert csr.row_pointers[row] <= pos < csr.row_pointers[row + 1]
     assert col == csr.col_indices[pos]
+
+    bit = build_bitbsr(CSRMatrix.from_coo(coo)).matrix
+    pos = bit.nnz // 2
+    bit.values[pos] = np.nan
+    with pytest.raises(NonFiniteValueError) as excinfo:
+        bit.verify(deep=True)
+    # the entry's coordinate, decoded by hand from its block and rank
+    block = int(np.searchsorted(bit.block_offsets, pos, side="right") - 1)
+    bit_pos = int(bit_positions(bit.bitmaps[block])[pos - bit.block_offsets[block]])
+    block_row = int(np.searchsorted(bit.block_row_pointers, block, side="right") - 1)
+    assert excinfo.value.coord == (
+        block_row * BLOCK_DIM + bit_pos // BLOCK_DIM,
+        int(bit.block_cols[block]) * BLOCK_DIM + bit_pos % BLOCK_DIM,
+    )
+
+
+def test_bitbsr_deep_verify_decodes_only_to_label_a_bad_value(coo, monkeypatch):
+    bit = build_bitbsr(CSRMatrix.from_coo(coo)).matrix
+
+    def no_decode(self, *args, **kwargs):
+        raise AssertionError("a finite matrix was decoded")
+
+    monkeypatch.setattr(BitBSRMatrix, "entry_coordinates", no_decode)
+    assert bit.verify(deep=True) is bit
 
 
 def test_monotonicity_error_names_the_row(coo):

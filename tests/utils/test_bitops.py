@@ -10,6 +10,7 @@ from repro.utils.bitops import (
     bitmap_from_dense,
     bitmap_to_dense,
     bitmap_row,
+    expand_bitmap_rows,
     extract_bit,
     popcount,
     popcount_below,
@@ -109,3 +110,33 @@ class TestBitmapDense:
     def test_bitmap_row_bounds(self):
         with pytest.raises(ValueError):
             bitmap_row(0, 8)
+
+
+class TestExpandBitmapRows:
+    @staticmethod
+    def loop_reference(bitmaps):
+        """Row ids, counts and columns bit by bit, in bit order."""
+        row_ids, counts, cols = [], [], []
+        for block, bitmap in enumerate(bitmaps):
+            for p in bit_positions(bitmap):
+                row_id = block * 8 + int(p) // 8
+                if not row_ids or row_ids[-1] != row_id:
+                    row_ids.append(row_id)
+                    counts.append(0)
+                counts[-1] += 1
+                cols.append(int(p) % 8)
+        return row_ids, counts, cols
+
+    @given(st.lists(U64, max_size=40))
+    def test_matches_the_bit_loop(self, values):
+        bitmaps = np.array(values, dtype=np.uint64)
+        row_ids, counts, cols = expand_bitmap_rows(bitmaps)
+        assert counts.dtype == cols.dtype == np.uint8
+        assert (row_ids.tolist(), counts.tolist(), cols.tolist()) == self.loop_reference(values)
+
+    def test_byte_order_of_the_input_does_not_matter(self):
+        bitmaps = np.array([0x0123_4567_89AB_CDEF, 1 << 63, 0xFF], dtype=np.uint64)
+        for dtype in ("<u8", ">u8"):
+            got = expand_bitmap_rows(bitmaps.astype(dtype))
+            want = expand_bitmap_rows(bitmaps)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
