@@ -11,8 +11,11 @@ Two execution paths share the same semantics:
   (identical arithmetic) used for full-scale benchmarking, and
   :func:`spaden_spmv` its one-vector case.  It runs on the matrix's
   memoized :meth:`~repro.formats.bitbsr.BitBSRMatrix.run_view`, so the
-  bitmaps are decoded once per matrix, not once per call, and it
-  allocates its per-vector buffers once per call.
+  bitmaps are decoded once per matrix, not once per call.  A batch
+  walks the view in cache-sized chunks of whole block rows, as a warp
+  streams its pair of block rows once: each chunk's indices are
+  converted once and reused by every vector, and the buffers, allocated
+  once per call, are sized by the largest chunk instead of by nnz.
 
 Both honor the mixed-precision pipeline: bitBSR stores half-precision
 values, fragment B receives a half-precision x, products accumulate in
@@ -123,22 +126,60 @@ def _check_batch(X: np.ndarray, ncols: int) -> np.ndarray:
     return X
 
 
+#: Entries per chunk of a multi-vector call.  A chunk is whole block
+#: rows, so its buffers (28 B per entry) stay about L2-sized.
+CHUNK_ENTRIES = 1 << 15
+
+
+def _chunks(bitbsr: BitBSRMatrix, target: int) -> tuple[list[int], list[int]]:
+    """Block-row bounds and entry offsets of chunks of about ``target`` entries.
+
+    Chunk ``i`` is block rows ``bounds[i]:bounds[i + 1]``, which hold
+    entries ``offsets[i]:offsets[i + 1]`` of the run view.  Each chunk
+    takes as many whole block rows as fit in ``target`` entries; a block
+    row holding more than ``target`` entries is a chunk of its own.
+    """
+    # entry offset of the first entry of every block row, then nnz
+    starts = bitbsr.block_offsets[bitbsr.block_row_pointers]
+    nbrows = starts.size - 1
+    bounds = [0]
+    while bounds[-1] < nbrows:
+        b0 = bounds[-1]
+        b1 = int(np.searchsorted(starts, starts[b0] + target, side="right")) - 1
+        bounds.append(max(b1, b0 + 1))
+    return bounds, starts[bounds].tolist()
+
+
 def spaden_spmv_many(
     bitbsr: BitBSRMatrix,
     X: np.ndarray,
     precision: Precision | None = None,
 ) -> np.ndarray:
-    """Batched Spaden SpMV: one gather-multiply-``bincount`` per row of ``X``.
+    """Batched Spaden SpMV: a gather-multiply-``bincount`` per vector and chunk.
 
     ``X`` holds ``k`` input vectors as rows, and row ``j`` of the result
     is ``spaden_spmv(bitbsr, X[j])``.  Every vector runs on the matrix's
     run view, so the bitmap decode is paid once per matrix; a
     ``precision`` other than the matrix's own reuses the view's
-    coordinates and rounds the stored values once per call.  The
-    gather/product buffer, its float64 copy and the ``intp`` row ids
-    that ``np.bincount`` takes are allocated once per call, as one
-    block, and reused by every vector, so a batch does not allocate per
-    vector what grows with nnz.
+    coordinates and rounds the stored values once per call.  Each vector
+    is rounded once per call.
+
+    With ``k >= 2`` and more than :data:`CHUNK_ENTRIES` entries, the view
+    is walked in chunks of whole block rows, about ``CHUNK_ENTRIES``
+    entries each.  A chunk's rows (less its first row) and columns are
+    converted to ``intp`` once, and every vector's gather, product,
+    float64 copy and ``bincount`` then run on that cache-sized chunk.
+    The buffers are allocated once per call, as one block sized to the
+    largest chunk (28 B per entry), so beyond ``Y`` and the rounded
+    ``X`` a batch's memory does not grow with nnz.  One vector has
+    nothing to amortize per-chunk calls over: it runs the whole view as
+    one chunk, with a 20 B/entry block, and ``np.take`` converts its
+    columns.
+
+    A row's entries never leave its block row and keep their storage
+    order inside a chunk, so each row adds the same float64 products in
+    the same order whatever the chunking, and ``Y`` does not depend on
+    it.
     """
     X = _check_batch(X, bitbsr.ncols)
     view = bitbsr.run_view()
@@ -147,27 +188,45 @@ def spaden_spmv_many(
         precision = bitbsr.input_precision
     elif precision is not bitbsr.input_precision:
         vals = round_inputs(bitbsr.values, precision)
-    # One block rather than three: freed as three, the buffers of a 1M-nnz
-    # call went back to the OS after every call and were faulted in again
-    # (about 4,500 minor page faults per call, measured); as one block
-    # they stay mapped from call to call.
-    nnz = view.cols.size
-    rows_at = 8 * nnz
-    products_at = rows_at + np.dtype(np.intp).itemsize * nnz
-    block = np.empty(products_at + 4 * nnz, dtype=np.uint8)
+    k = X.shape[0]
+    XF = round_inputs(X.astype(np.float32, copy=False), precision)
+    Y = np.empty((k, bitbsr.nrows), dtype=np.float32)
+    if k >= 2 and vals.size > CHUNK_ENTRIES:
+        bounds, offsets = _chunks(bitbsr, CHUNK_ENTRIES)
+    else:
+        bounds, offsets = [0, bitbsr.block_rows_count], [0, vals.size]
+    size = max(e1 - e0 for e0, e1 in zip(offsets, offsets[1:]))
+    # One block, cut into float64 weights, intp rows, intp columns and
+    # float32 products.  A lone vector has no column buffer: np.take
+    # converts its columns, and a separate copy measured slower.
+    index_bytes = np.dtype(np.intp).itemsize * size
+    cols_at = 8 * size + index_bytes
+    products_at = cols_at + (index_bytes if k >= 2 else 0)
+    block = np.empty(products_at + 4 * size, dtype=np.uint8)
     # lint: ignore[fp64-upcast] -- np.bincount only takes float64 weights;
     # products are already rounded to the input precision grid
-    weights = block[:rows_at].view(np.float64)
-    rows = block[rows_at:products_at].view(np.intp)
-    products = block[products_at:].view(np.float32)
-    np.copyto(rows, view.rows)
-    Y = np.empty((X.shape[0], bitbsr.nrows), dtype=np.float32)
-    for j in range(X.shape[0]):
-        xf = round_inputs(X[j].astype(np.float32), precision)
-        np.take(xf, view.cols, out=products)
-        np.multiply(vals, products, out=products)
-        np.copyto(weights, products)
-        Y[j] = np.bincount(rows, weights=weights, minlength=bitbsr.nrows)[: bitbsr.nrows]
+    weights_all = block[: 8 * size].view(np.float64)
+    rows_all = block[8 * size : cols_at].view(np.intp)
+    cols_all = block[cols_at:products_at].view(np.intp)
+    products_all = block[products_at:].view(np.float32)
+    for b0, b1, e0, e1 in zip(bounds, bounds[1:], offsets, offsets[1:]):
+        n = e1 - e0
+        r0 = b0 * BLOCK_DIM
+        r1 = min(b1 * BLOCK_DIM, bitbsr.nrows)
+        weights, rows, products = weights_all[:n], rows_all[:n], products_all[:n]
+        np.copyto(rows, view.rows[e0:e1])
+        if r0:
+            rows -= r0
+        cols = view.cols[e0:e1]
+        if k >= 2:
+            np.copyto(cols_all[:n], cols)
+            cols = cols_all[:n]
+        chunk_vals = vals[e0:e1]
+        for j in range(k):
+            np.take(XF[j], cols, out=products)
+            np.multiply(chunk_vals, products, out=products)
+            np.copyto(weights, products)
+            Y[j, r0:r1] = np.bincount(rows, weights=weights, minlength=r1 - r0)
     return Y
 
 

@@ -94,13 +94,15 @@ class SpadenKernel(SpMVKernel):
         return spaden_spmv(prepared.data, x)
 
     def run_many(self, prepared: PreparedOperand, X: np.ndarray) -> np.ndarray:
-        """Batch as one loop over the operand's run view.
+        """Batch as one chunked loop over the operand's run view.
 
         Row ``j`` of the result is ``run(prepared, X[j])`` by
-        construction: ``run`` is the same loop on a batch of one.  The
-        bitBSR decode is paid once per operand, on its first run, and
-        the per-vector buffers once per call (see
-        :func:`repro.core.spmv.spaden_spmv_many`).
+        construction: ``run`` is the same loop on a batch of one, and
+        each row adds the same products in the same order however the
+        view is chunked.  The bitBSR decode is paid once per operand, on
+        its first run; a batch converts each chunk's indices once for
+        all its vectors, and its buffers are sized by the largest chunk,
+        not by nnz (see :func:`repro.core.spmv.spaden_spmv_many`).
         """
         X = self._check_many(prepared, X)
         return spaden_spmv_many(prepared.data, X)

@@ -54,13 +54,15 @@ def matrix_fingerprint(csr) -> str:
     identical byte content but different element types apart (an int32
     ``[1, 0]`` and an int64 ``[1]`` share raw bytes) and pins the
     boundary between adjacent arrays, so bytes can never shift from one
-    array into the next and still hash the same.
+    array into the next and still hash the same.  Each array's buffer is
+    hashed in place (a non-contiguous array is made contiguous first),
+    so the bytes are those of ``array.tobytes()`` without the copy.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(repr(csr.shape).encode())
     for array in (csr.row_pointers, csr.col_indices, csr.values):
         h.update(f"{array.dtype.str}:{array.size};".encode())
-        h.update(array.tobytes())
+        h.update(np.ascontiguousarray(array).data)
     return h.hexdigest()
 
 

@@ -5,18 +5,22 @@ first numeric run.  These tests pin its output byte for byte to the
 per-call formula it replaced (kept inline below as the reference), show
 that the memo can never serve a stale ``y``, and that it is charged to
 the operand cache but never reaches disk or the device-plane numbers.
+They also pin the chunked batch loop: the same bytes whatever the chunk
+size, and per-call memory bounded by the largest chunk.
 """
 
 from __future__ import annotations
 
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core import spmv
 from repro.core.builder import build_bitbsr
-from repro.core.spmv import spaden_spmv, spaden_spmv_many
+from repro.core.spmv import CHUNK_ENTRIES, _chunks, spaden_spmv, spaden_spmv_many
 from repro.engine import OperandCache, SpMVEngine, encode_operand
 from repro.formats.bitbsr import BitBSRMatrix
 from repro.formats.coo import COOMatrix
@@ -92,6 +96,18 @@ MATRICES = {
 }
 
 
+def _wide_block_row() -> CSRMatrix:
+    """Block row 0 holds 8 x 4200 entries, more than the default chunk
+    target; the last block row is ragged (27 rows)."""
+    rng = np.random.default_rng(10)
+    dense = np.where(rng.random((27, 4200)) < 0.05, rng.standard_normal((27, 4200)), 0.0)
+    dense[:8] = rng.uniform(0.5, 2.0, (8, 4200))
+    return _from_dense(dense.astype(np.float32))
+
+
+CHUNKED_MATRICES = {**MATRICES, "wide-block-row": _wide_block_row}
+
+
 @pytest.fixture(params=list(MATRICES))
 def csr(request) -> CSRMatrix:
     return MATRICES[request.param]()
@@ -134,6 +150,20 @@ class TestByteParity:
         reference = np.stack([per_call_reference(bit, x, Precision.FP16) for x in X])
         assert Y.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("target", [1, 64, CHUNK_ENTRIES], ids=["1", "64", "default"])
+    @pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.value)
+    @pytest.mark.parametrize("value_dtype", [np.float16, np.float32], ids=["fp16", "fp32"])
+    @pytest.mark.parametrize("name", list(CHUNKED_MATRICES))
+    def test_chunked_batch_equals_the_per_call_formula(
+        self, monkeypatch, name, value_dtype, precision, target
+    ):
+        monkeypatch.setattr(spmv, "CHUNK_ENTRIES", target)
+        csr = CHUNKED_MATRICES[name]()
+        bit = _bit(csr, value_dtype)
+        X = np.random.default_rng(11).standard_normal((3, csr.ncols)).astype(np.float32)
+        expected = np.stack([per_call_reference(bit, x, precision) for x in X])
+        assert spaden_spmv_many(bit, X, precision).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("name", SPADEN_KERNELS)
     def test_every_spaden_variant_runs_the_view(self, csr, name):
         kernel = get_kernel(name)
@@ -143,6 +173,40 @@ class TestByteParity:
         reference = np.stack([per_call_reference(prepared.data, x, Precision.FP16) for x in X])
         assert kernel.run_many(prepared, X).tobytes() == reference.tobytes()
         assert kernel.run(prepared, X[0]).tobytes() == reference[0].tobytes()
+
+
+class TestChunks:
+    @pytest.mark.parametrize("target", [1, 64, 500, CHUNK_ENTRIES])
+    @pytest.mark.parametrize("name", ["dense-blocks", "wide-block-row"])
+    def test_chunks_are_whole_block_rows_within_the_target(self, name, target):
+        bit = _bit(CHUNKED_MATRICES[name]())
+        starts = bit.block_offsets[bit.block_row_pointers]
+        bounds, offsets = _chunks(bit, target)
+        assert bounds[0] == 0 and bounds[-1] == bit.block_rows_count
+        assert offsets == starts[bounds].tolist()
+        for b0, b1 in zip(bounds, bounds[1:]):
+            # within the target, unless one block row alone exceeds it
+            assert starts[b1] - starts[b0] <= target or b1 == b0 + 1
+            # and as many block rows as fit
+            if b1 < bit.block_rows_count:
+                assert starts[b1 + 1] - starts[b0] > target
+
+    def test_batch_memory_is_bounded_by_the_largest_chunk(self):
+        csr = generate_matrix("cant", scale=0.08, seed=1).csr
+        assert csr.nnz >= 300_000
+        bit = _bit(csr)
+        k = 8
+        X = np.random.default_rng(12).standard_normal((k, csr.ncols)).astype(np.float32)
+        spaden_spmv_many(bit, X)  # the run view is built outside the measurement
+        _, offsets = _chunks(bit, CHUNK_ENTRIES)
+        largest = max(b - a for a, b in zip(offsets, offsets[1:]))
+        tracemalloc.start()
+        try:
+            spaden_spmv_many(bit, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * largest + 8 * k * (csr.nrows + csr.ncols) + (1 << 20)
 
 
 class TestNeverStale:

@@ -1,13 +1,19 @@
 """Direct CSR -> bitBSR conversion: bitwise identity and fast paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.constants import BLOCK_DIM, BLOCK_SIZE
+from repro.errors import FormatError
 from repro.formats.bitbsr import BitBSRMatrix
-from repro.formats.bsr import BSRMatrix
+from repro.formats.bsr import BSRMatrix, block_coordinates
 from repro.formats.convert import convert
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
+from repro.matrices import generate_matrix
+from repro.utils.scan import exclusive_scan, segment_ids
 
 from tests.conftest import make_random_dense
 
@@ -68,6 +74,87 @@ class TestBitwiseIdentity:
 
     def test_deep_verify_passes(self, rng):
         BitBSRMatrix.from_csr(_csr(rng, 40, 40)).verify(deep=True)
+
+
+def two_sort_reference(shape, rows, cols, values, value_dtype) -> BitBSRMatrix:
+    """``_from_entries`` before it dropped ``np.unique``'s second sort."""
+    br, bc, lr, lc = block_coordinates(rows, cols, BLOCK_DIM)
+    nbcols = -(-shape[1] // BLOCK_DIM)
+    nbrows = -(-shape[0] // BLOCK_DIM)
+    bitpos = lr * BLOCK_DIM + lc
+    keys = br * nbcols + bc
+    order = np.argsort(keys * BLOCK_SIZE + bitpos, kind="stable")
+    keys_sorted = keys[order]
+    bitpos_sorted = bitpos[order]
+    values_sorted = values[order]
+    unique_keys, starts = np.unique(keys_sorted, return_index=True)
+    if unique_keys.size:
+        weights = np.uint64(1) << bitpos_sorted.astype(np.uint64)
+        bitmaps = np.bitwise_or.reduceat(weights, starts)
+    else:
+        bitmaps = np.zeros(0, dtype=np.uint64)
+    counts = np.bincount((unique_keys // nbcols).astype(np.int64), minlength=nbrows)
+    ptr = exclusive_scan(counts)
+    return BitBSRMatrix(shape, ptr, unique_keys % nbcols, bitmaps, values_sorted, value_dtype=value_dtype)
+
+
+def _reference_from_csr(csr: CSRMatrix, value_dtype) -> BitBSRMatrix:
+    rows = segment_ids(csr.row_pointers)
+    return two_sort_reference(csr.shape, rows, csr.col_indices, csr.values, value_dtype)
+
+
+def _unsorted_rows(rng) -> CSRMatrix:
+    """Each row's column indices reversed: valid CSR, not canonical."""
+    csr = _csr(rng, 29, 43, density=0.3)
+    cols, values = csr.col_indices.copy(), csr.values.copy()
+    for lo, hi in zip(csr.row_pointers[:-1], csr.row_pointers[1:]):
+        cols[lo:hi] = cols[lo:hi][::-1]
+        values[lo:hi] = values[lo:hi][::-1]
+    return CSRMatrix(csr.shape, csr.row_pointers, cols, values)
+
+
+ONE_SORT_MATRICES = {
+    "canonical": lambda rng: _csr(rng, 64, 48),
+    "unsorted-rows": _unsorted_rows,
+    "empty": lambda rng: CSRMatrix.from_coo(COOMatrix((16, 24), [], [], [])),
+    "ragged-37x29": lambda rng: _csr(rng, 37, 29, density=0.35),
+}
+
+
+class TestOneSort:
+    """``_from_entries`` sorts once and is byte-identical to the two-sort route."""
+
+    @pytest.mark.parametrize("name", list(ONE_SORT_MATRICES))
+    @pytest.mark.parametrize("value_dtype", [np.float16, np.float32], ids=["fp16", "fp32"])
+    def test_storage_is_byte_identical(self, rng, name, value_dtype):
+        csr = ONE_SORT_MATRICES[name](rng)
+        got = BitBSRMatrix.from_csr(csr, value_dtype=value_dtype)
+        want = _reference_from_csr(csr, value_dtype)
+        assert got.shape == want.shape and got.value_dtype == want.value_dtype
+        for array in ARRAYS + ("block_offsets",):
+            a, b = getattr(got, array), getattr(want, array)
+            assert a.dtype == b.dtype, array
+            assert a.tobytes() == b.tobytes(), array
+
+    def test_duplicated_entry_raises_the_same_error(self):
+        # row 1 holds column 3 twice
+        csr = CSRMatrix((4, 12), [0, 1, 3, 3, 4], [0, 3, 3, 11], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(FormatError) as want:
+            _reference_from_csr(csr, np.float16)
+        with pytest.raises(FormatError) as got:
+            BitBSRMatrix.from_csr(csr)
+        assert str(got.value) == str(want.value)
+
+    def test_peak_memory_per_entry(self):
+        csr = generate_matrix("cant", scale=0.08, seed=1).csr
+        tracemalloc.start()
+        try:
+            BitBSRMatrix.from_csr(csr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the two-sort route peaked at about 110 B per entry here
+        assert peak < 64 * csr.nnz, peak / csr.nnz
 
 
 class TestConvertFastPaths:

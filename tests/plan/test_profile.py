@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.errors import PlanError
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
+from repro.matrices import generate_matrix
 from repro.plan.profile import (
     BLOCK_NNZ_BUCKETS,
     StructureProfile,
@@ -132,6 +137,32 @@ class TestFingerprint:
         from repro.engine.cache import matrix_fingerprint as engine_fingerprint
 
         assert engine_fingerprint is matrix_fingerprint
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float32])
+    @pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "strided"])
+    def test_digest_equals_the_copying_formula(self, dtype, contiguous):
+        base = np.arange(40, dtype=dtype)
+        array = base[:20] if contiguous else base[::2]
+        assert array.flags.c_contiguous is contiguous
+        csr = SimpleNamespace(shape=(7, 9), row_pointers=array, col_indices=array[::-1], values=array)
+        h = hashlib.blake2b(digest_size=16)
+        h.update(repr(csr.shape).encode())
+        for a in (csr.row_pointers, csr.col_indices, csr.values):
+            h.update(f"{a.dtype.str}:{a.size};".encode())
+            h.update(a.tobytes())
+        assert matrix_fingerprint(csr) == h.hexdigest()
+
+    def test_hashes_without_copying_the_arrays(self):
+        csr = generate_matrix("cant", scale=0.13, seed=1).csr
+        assert csr.nnz >= 500_000
+        tracemalloc.start()
+        try:
+            matrix_fingerprint(csr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a copy of any one array would be at least 2 MB
+        assert peak < 1 << 20, peak
 
 
 class TestCSRAccessor:
