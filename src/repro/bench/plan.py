@@ -179,9 +179,8 @@ def bench_plan_crossover(
     :class:`~repro.plan.StructurePlanner`'s plan and the
     :class:`~repro.plan.StaticPlanner`'s chain head, compute the exact
     ground truth for every chain kernel from measured simulator
-    counters, and record the margin.  The planner instance is fresh per
-    sweep (no latency feedback), so this measures the structure + cost
-    model alone — the reproducible part.
+    counters, and record the margin.  The planner ranks from the
+    structure and the cost model alone, so the sweep is reproducible.
     """
     planner = StructurePlanner(gpu)
     static = StaticPlanner()

@@ -584,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--planner",
         action="store_true",
         help="drive the workload through a StructurePlanner (planner "
-        "decisions and rank flips appear in the report's metrics)",
+        "decisions appear in the report's metrics)",
     )
     p.add_argument("--gpu", default="L40", help="cost-model target for --planner")
     p.add_argument("--fault", default=None, help="also dispatch once with this fault injected")

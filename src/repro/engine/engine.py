@@ -136,13 +136,10 @@ class SpMVEngine:
 
     ``planner`` installs a :class:`~repro.plan.Planner`: each batch
     walks the planner's per-matrix :class:`~repro.plan.ExecutionPlan`
-    instead of the static ``chain``, the plan is cached next to the
-    prepared operand (same fingerprint key) and both are invalidated
-    together when a kernel poisons its operand, and every successful
-    batch feeds its measured per-vector seconds back through
-    :meth:`~repro.plan.Planner.observe` so rankings improve as traffic
-    accumulates.  ``None`` (the default) leaves every request on the
-    exact static-chain path — results are bit-identical.
+    (memoized by the planner under the same fingerprint the engine
+    already computed) instead of the static ``chain``.  ``None`` (the
+    default) leaves every request on the exact static-chain path —
+    results are bit-identical.
     """
 
     def __init__(
@@ -167,15 +164,11 @@ class SpMVEngine:
         self.resilience = resilience
         self.planner = planner
         self.cache = OperandCache(cache_bytes, name=f"engine:{kernel}")
-        # Guards the engine's own bookkeeping (stats, plans) only.
+        # Guards the engine's own bookkeeping (stats) only.
         # It is NEVER held across prepare/execute_chain, so concurrent
         # batches still run in parallel; the cache has its own lock.
         self._lock = threading.Lock()
         self.stats = EngineStats()  # concurrency: guarded-by(self._lock)
-        # per-fingerprint plans from self.planner, invalidated together
-        # with the operand cache entry they were planned for
-        # concurrency: guarded-by(self._lock)
-        self._plans: dict = {}
 
     # -- operand management --------------------------------------------------
     def _prepared(self, kernel_name: str, csr: CSRMatrix, fingerprint: str) -> PreparedOperand:
@@ -243,13 +236,7 @@ class SpMVEngine:
         return self._prepared(self.kernel_name, csr, matrix_fingerprint(csr))
 
     def _invalidate_operand(self, kernel_name: str, fingerprint: str) -> None:
-        """Drop a poisoned cached operand *and* the matrix's cached plan.
-
-        The plan ranked kernels against evidence that predates the
-        failure; dropping it with the operand means the next batch
-        re-plans with the planner's current EWMA table (which the
-        failure's latency just updated).  With no planner the plan map
-        is empty and this is exactly the old cache eviction.
+        """Drop a poisoned cached operand.
 
         The persistent store is deliberately *not* touched: its copy is
         a pre-execution snapshot serialized before any kernel ran, so
@@ -257,21 +244,6 @@ class SpMVEngine:
         way back to a healthy operand.
         """
         self.cache.invalidate((kernel_name, fingerprint))
-        with self._lock:
-            self._plans.pop(fingerprint, None)
-
-    def _plan_for(self, csr: CSRMatrix, fingerprint: str):
-        """The planner's cached plan for this matrix (``None`` without one)."""
-        if self.planner is None:
-            return None
-        with self._lock:
-            plan = self._plans.get(fingerprint)
-        if plan is not None:
-            return plan
-        plan = self.planner.plan(csr, fingerprint=fingerprint)
-        with self._lock:
-            self._plans[fingerprint] = plan
-        return plan
 
     # -- execution -----------------------------------------------------------
     def _execute_batch(
@@ -292,7 +264,10 @@ class SpMVEngine:
         """
         k = X.shape[0]
         policy = self.resilience
-        plan = self._plan_for(csr, fingerprint)
+        if self.planner is not None:
+            chain = self.planner.plan(csr, fingerprint=fingerprint)
+        else:
+            chain = self.chain
 
         def pick_mode(kernel) -> ExecutionMode:
             # simulate only where one simulated decode serves the whole
@@ -309,12 +284,11 @@ class SpMVEngine:
                 result = execute_chain(
                     csr,
                     X,
-                    plan if plan is not None else self.chain,
+                    chain,
                     mode=pick_mode,
                     faults=faults,
                     prepare=lambda name: self._prepared(name, csr, fingerprint),
-                    # never let a poisoned operand (or its stale plan)
-                    # serve the next request
+                    # never let a poisoned operand serve the next request
                     invalidate=lambda name: self._invalidate_operand(name, fingerprint),
                     deep_verify=policy.deep_verify if policy is not None else False,
                     deadline=policy.new_deadline() if policy is not None else None,
@@ -326,9 +300,6 @@ class SpMVEngine:
             with self._lock:
                 self.stats.degradation_log.extend(exc.events)
             raise
-        if self.planner is not None:
-            # feedback: measured per-batch seconds, per-vector normalized
-            self.planner.observe(result.kernel, result.run_seconds, vectors=k)
         with self._lock:
             self.stats.run_seconds += result.run_seconds
             self.stats.batches += 1

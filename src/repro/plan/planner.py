@@ -1,38 +1,30 @@
-"""Execution planners: structure profile + cost model + live feedback.
+"""Execution planners: structure profile + device cost model.
 
 The static fallback chain (spaden → spaden-no-tc → cusparse-csr →
 csr-scalar) is the right *safety* order but, per Fig. 9, the wrong
 *speed* order for low-block-density operands.  A
 :class:`Planner` closes that gap: given a matrix it emits an
-:class:`ExecutionPlan` — a ranked, capability-filtered kernel order
-plus batch/flush hints — that every dispatch consumer
-(:func:`repro.exec.execute_chain`, :class:`~repro.engine.SpMVEngine`,
-:class:`~repro.serve.ServeFrontend`) can walk exactly like a chain.
+:class:`ExecutionPlan` — a ranked, capability-filtered kernel order —
+that every dispatch consumer (:func:`repro.exec.execute_chain`,
+:class:`~repro.engine.SpMVEngine`) can walk exactly like a chain.
 
 Two planners ship:
 
 * :class:`StaticPlanner` — the degenerate planner: emits the
   registry-derived static chain verbatim, so "planner configured but
   inert" and "no planner" are bitwise-identical paths;
-* :class:`StructurePlanner` — profiles the matrix once
-  (:func:`~repro.plan.profile.compute_structure_profile`, cached by
-  :func:`~repro.plan.profile.matrix_fingerprint`), predicts each chain
-  kernel's seconds through the :mod:`repro.perf.plan_model` roofline
-  adapter, blends the prediction with EWMA-smoothed *observed*
-  per-vector latencies fed back by the engine
-  (:meth:`StructurePlanner.observe`), and ranks.  Rankings therefore
-  improve as RunReports accumulate: a kernel the model flatters but the
-  machine runs slowly sinks as evidence arrives.
+* :class:`StructurePlanner` — profiles the matrix
+  (:func:`~repro.plan.profile.compute_structure_profile`), predicts
+  each chain kernel's seconds on the modeled GPU through the
+  :mod:`repro.perf.plan_model` roofline adapter, and ranks.
 
-The blend happens in **normalized space**: modeled GPU seconds and
-host-measured wall seconds live on different scales, so each signal is
-divided by its own minimum over the candidates before mixing.  The
-observation weight grows as ``n / (n + half_life)`` and is capped, so a
-cold planner trusts the model and a warm one trusts the machine —
-without ever zeroing the model out (a kernel must be able to *recover*
-after a transient slowdown).
+A plan lives in the device plane only: a pure function of the matrix
+content, the GPU and the mode, memoized by
+:func:`~repro.plan.profile.matrix_fingerprint`.  Host wall-clock of the
+Python twins never reaches a ranking; it is not comparable with
+modeled GPU seconds.
 
-Thread-safety: planner caches are shared across engine worker threads,
+Thread-safety: the plan memo is shared across engine worker threads,
 so the package is audited by :mod:`repro.analysis.concurrency` like the
 other serving seams — every mutable field carries a declared lock
 contract, and metrics publish outside critical sections
@@ -66,19 +58,8 @@ __all__ = [
     "StructurePlanner",
 ]
 
-#: Cap on the observed-latency blend weight: the cost model always
-#: keeps at least this much say, so a kernel can climb back after a
-#: transient slowdown inflated its EWMA.
-MAX_FEEDBACK_WEIGHT: float = 0.8
-
-#: Observations at which feedback carries half its capped weight.
-FEEDBACK_HALF_LIFE: int = 4
-
-#: EWMA smoothing factor for observed per-vector seconds.
-EWMA_ALPHA: float = 0.3
-
 #: Safety bias per tier step: a kernel only outranks a safer (lower
-#: fallback-tier) kernel when its blended score beats it by more than
+#: fallback-tier) kernel when its score beats it by more than
 #: this margin per tier it jumps.  The synthetic cost model's error
 #: bars exceed small predicted gaps, so inside the crossover band the
 #: registry's safety order wins; a genuine Fig. 9 win (tens of
@@ -94,14 +75,6 @@ def _count_decision(planner: str, kernel: str) -> None:
     ).inc(planner=planner, kernel=kernel)
 
 
-def _count_rank_flip(planner: str) -> None:
-    get_registry().counter(
-        "planner_rank_flips_total",
-        "Plans whose kernel order changed for a matrix planned before.",
-        labels=("planner",),
-    ).inc(planner=planner)
-
-
 @dataclass(frozen=True)
 class RankedKernel:
     """One kernel's position in a plan, with the evidence behind it."""
@@ -111,13 +84,9 @@ class RankedKernel:
     tier: int
     #: Cost-model prediction for this matrix, seconds.
     predicted_seconds: float
-    #: EWMA-smoothed observed per-vector seconds (``None`` = no data).
-    observed_seconds: float | None
-    #: Observations folded into the EWMA.
-    observations: int
-    #: Blended, unitless ranking score (lower is better; best ~1.0).
+    #: Unitless ranking score (lower is better; best ~1.0).
     score: float
-    #: Human-readable why (structure + evidence, one line).
+    #: Human-readable why, from the structure profile (one line).
     reason: str
 
     def as_dict(self) -> dict:
@@ -126,7 +95,7 @@ class RankedKernel:
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """A ranked kernel order plus serving hints for one matrix.
+    """A ranked kernel order for one matrix.
 
     ``kernels`` is what the chain walker consumes — every consumer that
     accepts a chain accepts a plan (duck-typed on this attribute).  The
@@ -138,10 +107,6 @@ class ExecutionPlan:
     kernels: tuple[str, ...]
     #: Per-kernel evidence, same order as ``kernels``.
     ranking: tuple[RankedKernel, ...] = ()
-    #: Suggested micro-batch size (``FlushPolicy.max_batch``), or None.
-    batch_hint: int | None = None
-    #: Suggested max coalescing wait, seconds, or None.
-    max_wait_hint_seconds: float | None = None
     #: Emitting planner's name.
     planner: str = "static"
     #: The structure profile the ranking used (``None`` for static).
@@ -159,24 +124,11 @@ class ExecutionPlan:
                 f"{prof.dense_block_fraction:.0%} >= half full), "
                 f"paired steps={prof.paired_steps}"
             )
-        if self.batch_hint is not None or self.max_wait_hint_seconds is not None:
-            wait = (
-                f"{self.max_wait_hint_seconds * 1e3:.1f} ms"
-                if self.max_wait_hint_seconds is not None
-                else "policy default"
-            )
-            lines.append(f"  hints: batch <= {self.batch_hint}, wait <= {wait}")
         for position, entry in enumerate(self.ranking, start=1):
-            observed = (
-                f"{entry.observed_seconds * 1e6:.1f} us over {entry.observations} obs"
-                if entry.observed_seconds is not None
-                else "no observations"
-            )
             lines.append(
                 f"  {position}. {entry.name} (tier {entry.tier}): score "
                 f"{entry.score:.3f} — predicted "
-                f"{entry.predicted_seconds * 1e6:.1f} us, observed {observed}; "
-                f"{entry.reason}"
+                f"{entry.predicted_seconds * 1e6:.1f} us; {entry.reason}"
             )
         return "\n".join(lines)
 
@@ -184,8 +136,6 @@ class ExecutionPlan:
         return {
             "planner": self.planner,
             "kernels": list(self.kernels),
-            "batch_hint": self.batch_hint,
-            "max_wait_hint_seconds": self.max_wait_hint_seconds,
             "ranking": [entry.as_dict() for entry in self.ranking],
             "profile": self.profile.as_dict() if self.profile is not None else None,
         }
@@ -195,8 +145,8 @@ class Planner:
     """Interface every planner implements.
 
     :meth:`plan` maps a matrix to an :class:`ExecutionPlan`;
-    :meth:`observe` feeds measured per-vector kernel seconds back (a
-    no-op by default, so stateless planners stay stateless).
+    ``fingerprint`` skips re-hashing when the caller (the engine)
+    already computed the content hash.
     """
 
     name: str = "planner"
@@ -204,16 +154,13 @@ class Planner:
     def plan(self, csr, *, fingerprint: str | None = None) -> ExecutionPlan:
         raise NotImplementedError
 
-    def observe(self, kernel: str, seconds: float, *, vectors: int = 1) -> None:
-        """Fold one measured execution into the planner's evidence."""
-
 
 class StaticPlanner(Planner):
     """The degenerate planner: the static chain, verbatim.
 
     Exists so "a planner is configured" and "no planner" are provably
     the same path — its plans carry the registry-derived chain order
-    (or an explicit ``chain``), no ranking, no hints.
+    (or an explicit ``chain``) and no ranking.
     """
 
     name = "static"
@@ -229,40 +176,28 @@ class StaticPlanner(Planner):
 
 
 class StructurePlanner(Planner):
-    """Rank the fallback chain per matrix from structure + evidence.
+    """Rank the fallback chain per matrix from its structure.
 
     ``gpu`` names the cost-model target.  ``mode`` capability-filters
     the candidates: ``"numeric"`` admits every chain kernel,
     ``"simulated"`` only those declaring the SIMULATED capability (a
     plan for a simulation campaign must not rank kernels that cannot
-    simulate).  ``candidates`` overrides the candidate set explicitly.
+    simulate).
 
-    Instances are shared across engine worker threads; the profile
-    cache, the EWMA table and the last-order table are guarded by one
-    lock that is never held across profiling, prediction or metrics.
+    A plan depends only on the matrix content, ``gpu`` and ``mode``,
+    so each matrix is profiled and ranked once and its plan memoized by
+    content fingerprint.  Instances are shared across engine worker
+    threads; the memo is guarded by one lock that is never held across
+    profiling, prediction or metrics.
     """
 
     name = "structure"
 
-    def __init__(
-        self,
-        gpu: str = "L40",
-        *,
-        mode: str = "numeric",
-        candidates: tuple[str, ...] | None = None,
-    ):
+    def __init__(self, gpu: str = "L40", *, mode: str = "numeric"):
         if mode not in ("numeric", "simulated"):
             raise PlanError(f"unknown planner mode {mode!r}")
         menu = kernel_menu()
-        if candidates is not None:
-            unknown = [name for name in candidates if name not in menu]
-            if unknown:
-                raise PlanError(
-                    f"unknown chain candidates {unknown}; menu: {sorted(menu)}"
-                )
-            pool = tuple(name for name in menu if name in set(candidates))
-        else:
-            pool = tuple(menu)
+        pool = tuple(menu)
         if mode == "simulated":
             pool = tuple(name for name in pool if menu[name].simulate)
         if not pool:
@@ -275,55 +210,8 @@ class StructurePlanner(Planner):
         self._menu: dict[str, KernelTraits] = menu
         self._lock = threading.Lock()
         # concurrency: guarded-by(self._lock)
-        self._profiles: dict[str, StructureProfile] = {}
-        # kernel -> (ewma seconds/vector, observation count)
-        # concurrency: guarded-by(self._lock)
-        self._ewma: dict[str, tuple[float, int]] = {}
-        # fingerprint -> last emitted kernel order (rank-flip detection)
-        # concurrency: guarded-by(self._lock)
-        self._orders: dict[str, tuple[str, ...]] = {}
+        self._plans: dict[str, ExecutionPlan] = {}
 
-    # -- evidence ------------------------------------------------------------
-    def profile_for(self, csr, *, fingerprint: str | None = None) -> StructureProfile:
-        """The (cached) structure profile of ``csr``.
-
-        ``fingerprint`` skips re-hashing when the caller (the engine)
-        already computed the content hash.  The compute-outside-lock
-        race is benign: two threads profiling the same new matrix
-        produce equal values and the second insert is idempotent.
-        """
-        if fingerprint is None:
-            fingerprint = matrix_fingerprint(csr)
-        with self._lock:
-            profile = self._profiles.get(fingerprint)
-        if profile is None:
-            profile = compute_structure_profile(csr, fingerprint=fingerprint)
-            with self._lock:
-                self._profiles[fingerprint] = profile
-        return profile
-
-    def observe(self, kernel: str, seconds: float, *, vectors: int = 1) -> None:
-        """EWMA-fold one measured execution (per-vector normalized)."""
-        if seconds < 0:
-            raise PlanError(f"observed seconds must be >= 0, got {seconds}")
-        per_vector = seconds / max(1, vectors)
-        with self._lock:
-            current = self._ewma.get(kernel)
-            if current is None:
-                self._ewma[kernel] = (per_vector, 1)
-            else:
-                value, count = current
-                self._ewma[kernel] = (
-                    value + EWMA_ALPHA * (per_vector - value),
-                    count + 1,
-                )
-
-    def observed(self) -> dict[str, tuple[float, int]]:
-        """Snapshot of the EWMA table (kernel -> (seconds, count))."""
-        with self._lock:
-            return dict(self._ewma)
-
-    # -- planning ------------------------------------------------------------
     def _reason(self, traits: KernelTraits, profile: StructureProfile) -> str:
         if traits.name in ("spaden", "spaden-no-tc"):
             unit = "MMA steps" if traits.tensor_cores else "CUDA block steps"
@@ -345,23 +233,19 @@ class StructurePlanner(Planner):
             )
         return f"unrecognized chain member (tier {traits.fallback_tier})"
 
-    def _hints(self, profile: StructureProfile) -> tuple[int, float]:
-        """Batch/flush hints: denser blocks amortize a bigger batch.
-
-        One cache lookup and one chain walk serve a whole same-matrix
-        batch (each request is still fingerprinted, and the host's
-        bitBSR decode is paid once per operand), and batches are sized
-        by block density; hypersparse operands gain little from
-        waiting, so they flush sooner and smaller.
-        """
-        if profile.mean_block_nnz >= 16:
-            return 64, 0.02
-        if profile.mean_block_nnz >= 4:
-            return 32, 0.01
-        return 16, 0.005
-
     def plan(self, csr, *, fingerprint: str | None = None) -> ExecutionPlan:
-        profile = self.profile_for(csr, fingerprint=fingerprint)
+        """The memoized plan for ``csr``'s content.
+
+        Two threads planning the same new matrix race benignly: the
+        first insert wins, both return it, and it is counted once.
+        """
+        if fingerprint is None:
+            fingerprint = matrix_fingerprint(csr)
+        with self._lock:
+            memo = self._plans.get(fingerprint)
+        if memo is not None:
+            return memo
+        profile = compute_structure_profile(csr, fingerprint=fingerprint)
         predicted = predict_chain_seconds(
             nrows=profile.nrows,
             ncols=profile.ncols,
@@ -375,39 +259,18 @@ class StructurePlanner(Planner):
             gpu=self.gpu,
             kernels=self.candidates,
         )
-        observed = self.observed()
         predicted_floor = min(predicted.values())
-        observed_floor = min(
-            (observed[name][0] for name in self.candidates if name in observed),
-            default=None,
-        )
         entries = []
         for tier_rank, name in enumerate(self.candidates):
             traits = self._menu[name]
-            model_score = predicted[name] / predicted_floor
-            evidence = observed.get(name)
-            if evidence is not None and observed_floor:
-                value, count = evidence
-                weight = min(
-                    MAX_FEEDBACK_WEIGHT, count / (count + FEEDBACK_HALF_LIFE)
-                )
-                score = (1.0 - weight) * model_score + weight * (
-                    value / observed_floor
-                )
-                observed_seconds, observations = value, count
-            else:
-                score = model_score
-                observed_seconds, observations = None, 0
             # candidates iterate in tier order, so the rank index is the
             # number of safer kernels this one would have to jump
-            score *= 1.0 + SAFETY_BIAS * tier_rank
+            score = predicted[name] / predicted_floor * (1.0 + SAFETY_BIAS * tier_rank)
             entries.append(
                 RankedKernel(
                     name=name,
                     tier=traits.fallback_tier,
                     predicted_seconds=predicted[name],
-                    observed_seconds=observed_seconds,
-                    observations=observations,
                     score=score,
                     reason=self._reason(traits, profile),
                 )
@@ -415,23 +278,14 @@ class StructurePlanner(Planner):
         # score first; the registry tier breaks ties so equal-looking
         # kernels keep the safety order
         entries.sort(key=lambda entry: (entry.score, entry.tier, entry.name))
-        kernels = tuple(entry.name for entry in entries)
-        batch_hint, wait_hint = self._hints(profile)
-        flipped = False
-        key = profile.fingerprint
-        if key is not None:
-            with self._lock:
-                previous = self._orders.get(key)
-                self._orders[key] = kernels
-            flipped = previous is not None and previous != kernels
-        _count_decision(self.name, kernels[0])
-        if flipped:
-            _count_rank_flip(self.name)
-        return ExecutionPlan(
-            kernels=kernels,
+        plan = ExecutionPlan(
+            kernels=tuple(entry.name for entry in entries),
             ranking=tuple(entries),
-            batch_hint=batch_hint,
-            max_wait_hint_seconds=wait_hint,
             planner=self.name,
             profile=profile,
         )
+        with self._lock:
+            memo = self._plans.setdefault(fingerprint, plan)
+        if memo is plan:
+            _count_decision(self.name, plan.kernels[0])
+        return memo

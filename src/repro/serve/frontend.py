@@ -289,8 +289,7 @@ def _take(group: list, max_batch: int) -> list:
 
 def _pop_due(
     pending: dict[str, list],
-    policies: dict[str, FlushPolicy],
-    default_policy: FlushPolicy,
+    policy: FlushPolicy,
     now: float,
     drain: bool,
     idle: int,
@@ -299,12 +298,10 @@ def _pop_due(
 
     Mutates ``pending`` in place and must run under the front-end lock;
     it is kept free of ``self`` so the lock discipline stays lexical
-    (pass the data, not the fields).  Each matrix flushes under its own
-    policy from ``policies`` (a plan-hinted variant installed at
-    registration) falling back to ``default_policy``.  With
-    ``drain=True`` every pending request is taken regardless of
-    pressure (shutdown path), still in ``max_batch``-sized
-    urgency-ordered chunks.
+    (pass the data, not the fields).  Every group flushes under
+    ``policy``.  With ``drain=True`` every pending request is taken
+    regardless of pressure (shutdown path), still in
+    ``max_batch``-sized urgency-ordered chunks.
 
     ``idle`` is the number of workers with no batch (``workers`` minus
     batches in flight).  Whatever of it the policy-driven batches leave
@@ -314,7 +311,6 @@ def _pop_due(
     """
     batches: list[tuple[str, str, list]] = []
     for name, group in pending.items():
-        policy = policies.get(name, default_policy)
         while group:
             if drain:
                 cause = "drain"
@@ -335,23 +331,17 @@ def _pop_due(
             key=lambda name: _oldest(pending[name]),
         )
         for name in waiting[:free]:
-            max_batch = policies.get(name, default_policy).max_batch
-            batches.append((name, "idle", _take(pending[name], max_batch)))
+            batches.append((name, "idle", _take(pending[name], policy.max_batch)))
     return batches
 
 
 def _min_due_in(
-    pending: dict[str, list],
-    policies: dict[str, FlushPolicy],
-    default_policy: FlushPolicy,
-    now: float,
+    pending: dict[str, list], policy: FlushPolicy, now: float
 ) -> float | None:
     """Seconds until the most pressed group becomes due (None if idle)."""
     waits = [
-        policies.get(name, default_policy).due_in(
-            oldest_age=pressure[0], min_expires_in=pressure[1]
-        )
-        for name, group in pending.items()
+        policy.due_in(oldest_age=pressure[0], min_expires_in=pressure[1])
+        for group in pending.values()
         if group
         for pressure in (_group_pressure(group, now),)
     ]
@@ -378,13 +368,9 @@ class ServeFrontend:
     admission timestamps, rate buckets, request deadlines and the
     flush triggers alike.
 
-    ``planner`` (a :class:`repro.plan.Planner`) makes registration
-    plan-aware: each matrix registered while a planner is installed is
-    profiled once and its :class:`~repro.plan.ExecutionPlan` batch
-    hints specialize the flush policy for that matrix's coalescing
-    group (dense-blocked operands coalesce into larger batches than
-    hypersparse ones).  Execution itself walks the engine's own
-    planner (if any): every batch is one ``spmv_many`` call.
+    Every group flushes under the one ``flush_policy``.  Execution
+    walks the engine's planner, if it has one: every batch is one
+    ``spmv_many`` call.
     """
 
     def __init__(
@@ -395,14 +381,12 @@ class ServeFrontend:
         flush_policy: FlushPolicy | None = None,
         default_quota: TenantQuota | None = None,
         default_deadline_seconds: float | None = None,
-        planner=None,
         clock: Callable[[], float] = time.monotonic,
     ):
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
         self.engine = engine if engine is not None else SpMVEngine()
         self.workers = workers
-        self.planner = planner
         self.flush_policy = flush_policy or FlushPolicy()
         self.default_quota = default_quota or TenantQuota()
         self.default_deadline_seconds = default_deadline_seconds
@@ -414,8 +398,6 @@ class ServeFrontend:
         self._cond = threading.Condition()
         self._matrices: dict[str, CSRMatrix] = {}  # concurrency: guarded-by(self._cond)
         self._pending: dict[str, list] = {}  # concurrency: guarded-by(self._cond)
-        # per-matrix plan-hinted flush policies (default policy when absent)
-        self._policies: dict[str, FlushPolicy] = {}  # concurrency: guarded-by(self._cond)
         self._quotas: dict[str, TenantQuota] = {}  # concurrency: guarded-by(self._cond)
         self._buckets: dict[str, TokenBucket] = {}  # concurrency: guarded-by(self._cond)
         self._tenant_depth: dict[str, int] = {}  # concurrency: guarded-by(self._cond)
@@ -440,10 +422,6 @@ class ServeFrontend:
         — tenants hold references to results computed against the old
         contents, so silent replacement would be a correctness trap.
 
-        With a ``planner`` installed, the matrix is profiled here (once,
-        outside the lock — registration is the cold path) and its plan's
-        batch hints specialize this matrix's flush policy.
-
         ``warm`` pre-prepares the preferred kernel's operand through
         :meth:`~repro.engine.SpMVEngine.warm` — memory cache, then the
         engine's persistent store, then one conversion spilled back to
@@ -452,13 +430,6 @@ class ServeFrontend:
         a persistent store attached; pass ``True``/``False`` to force.
         Warming happens outside the lock, on the registration path.
         """
-        policy = self.flush_policy
-        if self.planner is not None:
-            plan = self.planner.plan(csr)
-            policy = policy.with_hints(
-                max_batch=plan.batch_hint,
-                max_wait_seconds=plan.max_wait_hint_seconds,
-            )
         if warm is None:
             warm = getattr(self.engine, "store", None) is not None
         if warm:
@@ -468,7 +439,6 @@ class ServeFrontend:
                 raise ServeError(f"matrix {name!r} is already registered")
             self._matrices[name] = csr
             self._pending[name] = []
-            self._policies[name] = policy
 
     def matrices(self) -> list[str]:
         """Registered matrix names, in registration order."""
@@ -602,7 +572,6 @@ class ServeFrontend:
                     now = self._clock()
                     batches = _pop_due(
                         self._pending,
-                        self._policies,
                         self.flush_policy,
                         now,
                         drain=self._closed,
@@ -613,9 +582,7 @@ class ServeFrontend:
                         break
                     if self._closed:
                         return  # drained: nothing pending, nothing due
-                    timeout = _min_due_in(
-                        self._pending, self._policies, self.flush_policy, now
-                    )
+                    timeout = _min_due_in(self._pending, self.flush_policy, now)
                     self._cond.wait(
                         None
                         if timeout is None

@@ -1,14 +1,14 @@
 """Flush policies: when does a waiting coalescing group become a micro-batch?
 
-The front-end holds one pending group per registered matrix.  Its
-dispatcher is work-conserving: while a worker is idle it flushes the
-groups holding the oldest requests at once (cause ``idle``), so a group
-waits only while every worker is busy.  :class:`FlushPolicy` decides
-when that wait ends, as a pure function of three observations — group
-size, oldest request age, and the earliest per-request deadline — so
-the dispatcher loop stays trivial and the policy itself is
-unit-testable against a :class:`~repro.resilience.ManualClock` without
-any threads.
+The front-end holds one pending group per registered matrix, and one
+:class:`FlushPolicy` governs every group.  Its dispatcher is
+work-conserving: while a worker is idle it flushes the groups holding
+the oldest requests at once (cause ``idle``), so a group waits only
+while every worker is busy.  The policy decides when that wait ends,
+as a pure function of three observations — group size, oldest request
+age, and the earliest per-request deadline — so the dispatcher loop
+stays trivial and the policy itself is unit-testable against a
+:class:`~repro.resilience.ManualClock` without any threads.
 
 Waiting is not what makes a batch worth having: a batch shares one
 cache lookup and one chain walk, but each request is still
@@ -30,7 +30,7 @@ pool for the next free worker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ServeError
 
@@ -71,28 +71,6 @@ class FlushPolicy:
                 f"deadline_slack_seconds must be >= 0, got "
                 f"{self.deadline_slack_seconds}"
             )
-
-    def with_hints(
-        self,
-        *,
-        max_batch: int | None = None,
-        max_wait_seconds: float | None = None,
-    ) -> "FlushPolicy":
-        """A copy of this policy with planner batch hints applied.
-
-        The front-end calls this with an
-        :class:`~repro.plan.ExecutionPlan`'s ``batch_hint`` /
-        ``max_wait_hint_seconds`` when a matrix is registered, so
-        dense-blocked operands coalesce into larger batches than
-        hypersparse ones.  ``None`` hints leave the corresponding field
-        untouched; validation re-runs through ``__post_init__``.
-        """
-        updates = {}
-        if max_batch is not None:
-            updates["max_batch"] = int(max_batch)
-        if max_wait_seconds is not None:
-            updates["max_wait_seconds"] = float(max_wait_seconds)
-        return replace(self, **updates) if updates else self
 
     def decide(
         self,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +79,37 @@ class TestCrossoverBench:
         assert "OK" in text
         for point in result.points:
             assert point.planner_pick in text
+
+
+class TestCommittedSweep:
+    def test_seed0_sweep_reproduces_first_committed_entry(self):
+        path = Path(__file__).parents[2] / "benchmarks/results/BENCH_plan.json"
+        committed = json.loads(path.read_text())[0]["bench"]
+        fresh = json.loads(json.dumps(bench_plan_crossover(seed=0).as_dict()))
+        close = dict(rel=1e-9)
+        assert len(fresh["points"]) == len(committed["points"])
+        for point, then in zip(fresh["points"], committed["points"]):
+            # picks, chain order and reasons exactly
+            for key in ("per_block_nnz", "nnz", "planner_pick", "static_pick"):
+                assert point[key] == then[key], key
+            assert point["plan"]["kernels"] == then["plan"]["kernels"]
+            ranking, old_ranking = point["plan"]["ranking"], then["plan"]["ranking"]
+            assert [(e["name"], e["tier"], e["reason"]) for e in ranking] == [
+                (e["name"], e["tier"], e["reason"]) for e in old_ranking
+            ]
+            # seconds, scores and the profile to rounding
+            assert point["truth_seconds"] == pytest.approx(then["truth_seconds"], **close)
+            assert point["margin"] == pytest.approx(then["margin"], **close)
+            for entry, old in zip(ranking, old_ranking):
+                assert entry["score"] == pytest.approx(old["score"], **close)
+                assert entry["predicted_seconds"] == pytest.approx(
+                    old["predicted_seconds"], **close
+                )
+            profile = dict(point["plan"]["profile"])
+            old_profile = dict(then["plan"]["profile"])
+            for key in ("block_nnz_hist", "fingerprint"):
+                assert profile.pop(key) == old_profile.pop(key), key
+            assert profile == pytest.approx(old_profile, **close)
 
 
 class TestTrajectoryArtifact:

@@ -1,4 +1,4 @@
-"""Planner tests: ranking, capability filters, feedback, thread safety."""
+"""Planner tests: ranking, capability filters, the plan memo, thread safety."""
 
 from __future__ import annotations
 
@@ -7,9 +7,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro.engine import SpMVEngine
 from repro.errors import PlanError
 from repro.exec import default_chain
 from repro.obs import get_registry, reset_observability
+from repro.perf.plan_model import kernel_menu
 from repro.plan import ExecutionPlan, StaticPlanner, StructurePlanner
 from repro.bench.plan import block_sweep_csr
 
@@ -41,7 +43,6 @@ class TestStaticPlanner:
         assert plan.kernels == default_chain()
         assert plan.planner == "static"
         assert plan.ranking == ()
-        assert plan.batch_hint is None and plan.max_wait_hint_seconds is None
 
     def test_explicit_chain(self, dense_csr):
         plan = StaticPlanner(("csr-scalar", "spaden")).plan(dense_csr)
@@ -86,7 +87,7 @@ class TestStructurePlannerRanking:
         text = StructurePlanner("L40").plan(dense_csr).explain()
         for name in default_chain():
             assert name in text
-        assert "structure:" in text and "hints:" in text
+        assert "structure:" in text
 
     def test_plan_walks_like_a_chain(self, dense_csr):
         plan = StructurePlanner("L40").plan(dense_csr)
@@ -104,60 +105,31 @@ class TestCapabilityFilter:
         with pytest.raises(PlanError):
             StructurePlanner("L40", mode="quantum")
 
-    def test_unknown_candidate_rejected(self):
+    def test_filter_that_empties_pool_rejected(self, monkeypatch):
+        menu = {
+            name: traits
+            for name, traits in kernel_menu().items()
+            if not traits.simulate
+        }
+        assert menu  # cusparse-csr cannot simulate
+        monkeypatch.setattr("repro.plan.planner.kernel_menu", lambda: menu)
         with pytest.raises(PlanError):
-            StructurePlanner("L40", candidates=("spaden", "no-such-kernel"))
-
-    def test_candidates_restrict_pool(self, dense_csr):
-        plan = StructurePlanner(
-            "L40", candidates=("csr-scalar", "spaden")
-        ).plan(dense_csr)
-        assert set(plan.kernels) == {"spaden", "csr-scalar"}
-
-    def test_filter_that_empties_pool_rejected(self):
-        with pytest.raises(PlanError):
-            StructurePlanner(
-                "L40", mode="simulated", candidates=("cusparse-csr",)
-            )
+            StructurePlanner("L40", mode="simulated")
 
 
-class TestFeedback:
-    def test_observations_demote_a_slow_kernel(self, dense_csr):
+class TestPlanMemo:
+    def test_plan_is_memoized(self, dense_csr):
         planner = StructurePlanner("L40")
-        assert planner.plan(dense_csr).kernels[0] == "spaden"
-        for _ in range(20):
-            planner.observe("spaden", 5e-3)
-            planner.observe("csr-scalar", 1e-5)
-        plan = planner.plan(dense_csr)
-        # the slow evidence sinks spaden to the bottom; fast evidence
-        # lifts csr-scalar above it (unobserved kernels keep their
-        # model-only scores and may still outrank both)
-        assert plan.kernels[0] != "spaden"
-        assert plan.kernels[-1] == "spaden"
-        assert plan.kernels.index("csr-scalar") < plan.kernels.index("spaden")
-        spaden = next(e for e in plan.ranking if e.name == "spaden")
-        assert spaden.observations == 20
-        assert spaden.observed_seconds == pytest.approx(5e-3, rel=0.2)
+        assert planner.plan(dense_csr) is planner.plan(dense_csr)
 
-    def test_observe_normalizes_per_vector(self):
+    def test_host_time_never_reaches_a_ranking(self):
+        csr = block_sweep_csr(32, nrows=128, ncols=128, nnz_target=512, seed=6)
+        x = np.random.default_rng(7).standard_normal(csr.ncols).astype(np.float32)
         planner = StructurePlanner("L40")
-        planner.observe("spaden", 8e-3, vectors=8)
-        assert planner.observed()["spaden"][0] == pytest.approx(1e-3)
-
-    def test_negative_observation_rejected(self):
-        with pytest.raises(PlanError):
-            StructurePlanner("L40").observe("spaden", -1.0)
-
-    def test_model_never_fully_silenced(self, dense_csr):
-        # even unbounded evidence keeps MAX_FEEDBACK_WEIGHT < 1, so the
-        # score still moves when the model prediction changes
-        planner = StructurePlanner("L40")
-        for _ in range(1000):
-            planner.observe("spaden", 1e-3)
-        plan = planner.plan(dense_csr)
-        spaden = next(e for e in plan.ranking if e.name == "spaden")
-        assert spaden.observations == 1000
-        assert np.isfinite(spaden.score)
+        engine = SpMVEngine(planner=planner)
+        for _ in range(5):
+            engine.spmv(csr, x)
+        assert planner.plan(csr) == StructurePlanner("L40").plan(csr)
 
 
 class TestPlannerMetrics:
@@ -172,19 +144,9 @@ class TestPlannerMetrics:
             == 1
         )
 
-    def test_rank_flip_counted(self, dense_csr):
-        planner = StructurePlanner("L40")
-        planner.plan(dense_csr)
-        assert _counter("planner_rank_flips_total", {"planner": "structure"}) == 0
-        for _ in range(20):
-            planner.observe("spaden", 5e-3)
-            planner.observe("csr-scalar", 1e-5)
-        planner.plan(dense_csr)
-        assert _counter("planner_rank_flips_total", {"planner": "structure"}) == 1
-
 
 class TestThreadSafety:
-    def test_concurrent_plan_and_observe(self, dense_csr, hypersparse_csr):
+    def test_concurrent_plan(self, dense_csr, hypersparse_csr):
         planner = StructurePlanner("L40")
         matrices = [dense_csr, hypersparse_csr]
         errors = []
@@ -196,7 +158,6 @@ class TestThreadSafety:
                 for i in range(40):
                     plan = planner.plan(matrices[(index + i) % 2])
                     assert sorted(plan.kernels) == sorted(default_chain())
-                    planner.observe(plan.kernels[0], 1e-5 * (i + 1))
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -206,5 +167,14 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert not errors
-        # profile cache holds exactly the two distinct matrices
-        assert len(planner._profiles) == 2
+        # the memo holds exactly the two distinct matrices' plans, each
+        # counted once however many threads raced to compute it
+        assert len(planner._plans) == 2
+        for kernel in ("spaden", "csr-scalar"):
+            assert (
+                _counter(
+                    "planner_decisions_total",
+                    {"planner": "structure", "kernel": kernel},
+                )
+                == 1
+            )
