@@ -223,7 +223,9 @@ def spaden_spmv_many(
             cols = cols_all[:n]
         chunk_vals = vals[e0:e1]
         for j in range(k):
-            np.take(XF[j], cols, out=products)
+            # the run view checked its columns once, so no index clips
+            # and "clip" only skips numpy's buffered copy of ``out``
+            np.take(XF[j], cols, out=products, mode="clip")
             np.multiply(chunk_vals, products, out=products)
             np.copyto(weights, products)
             Y[j, r0:r1] = np.bincount(rows, weights=weights, minlength=r1 - r0)

@@ -12,12 +12,13 @@ from repro.engine.cache import (
     matrix_fingerprint,
 )
 from repro.engine.codec import OPERAND_CODEC, decode_operand, encode_operand
-from repro.engine.engine import EngineStats, SpMVEngine
+from repro.engine.engine import EngineStats, MatrixHandle, SpMVEngine
 
 __all__ = [
     "CacheStats",
     "DEFAULT_CACHE_BYTES",
     "EngineStats",
+    "MatrixHandle",
     "OPERAND_CODEC",
     "OperandCache",
     "SpMVEngine",

@@ -14,9 +14,11 @@ amortizes it twice over:
 * :meth:`SpMVEngine.spmv_many` micro-batches same-matrix requests into
   one multi-vector :meth:`~repro.kernels.base.SpMVKernel.run_many`
   execution, so one cache lookup and one chain walk serve each
-  same-matrix group.  Every request is still fingerprinted on its own,
-  since grouping is by content hash.  Results are returned in request
-  order and are bitwise-equal to per-vector
+  same-matrix group.  Grouping is by content hash: a request on a raw
+  CSR is fingerprinted on its own, while a request on a
+  :class:`MatrixHandle` from :meth:`SpMVEngine.register` reuses the
+  handle's digest, computed at most once per handle.  Results are
+  returned in request order and are bitwise-equal to per-vector
   :meth:`~repro.kernels.base.SpMVKernel.run` calls.
 
 Every batch honors the PR-1 graceful-degradation contract: batches run
@@ -29,8 +31,10 @@ throughput, never correctness.
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -51,7 +55,7 @@ from repro.kernels.base import PreparedOperand, get_kernel
 from repro.obs import get_registry
 from repro.resilience import ResiliencePolicy
 
-__all__ = ["EngineStats", "SpMVEngine"]
+__all__ = ["EngineStats", "MatrixHandle", "SpMVEngine"]
 
 
 def _count_requests(kernel: str, amount: int) -> None:
@@ -60,6 +64,59 @@ def _count_requests(kernel: str, amount: int) -> None:
         "Individual SpMV requests served by the engine.",
         labels=("kernel",),
     ).inc(amount, kernel=kernel)
+
+
+class MatrixHandle:
+    """A matrix registered through :meth:`SpMVEngine.register`: frozen, hashed once.
+
+    ``csr`` is a shallow copy of the caller's
+    :class:`~repro.formats.csr.CSRMatrix`, so rebinding one of the
+    caller's arrays afterwards changes nothing the handle serves.  Each
+    of its three arrays that owns its data is made read-only in place,
+    so an in-place write raises ``ValueError`` instead of leaving a
+    cached operand stale; an array that is a view is copied once and the
+    copy frozen, so freezing never reaches memory the caller shares
+    with another array.  A view the caller took of an owning array
+    before registration keeps its own write flag, and a write through
+    it is not caught.
+
+    :attr:`fingerprint` is computed on first use, under the handle's
+    lock, so concurrent first requests hash the matrix once between
+    them and every later request reuses the digest.
+    """
+
+    __slots__ = ("csr", "_lock", "_fingerprint")
+
+    def __init__(self, csr: CSRMatrix):
+        frozen = copy.copy(csr)
+        for name in ("row_pointers", "col_indices", "values"):
+            array = getattr(frozen, name)
+            if not array.flags.owndata:
+                array = array.copy()
+                setattr(frozen, name, array)
+            array.flags.writeable = False
+        self.csr = frozen
+        self._lock = threading.Lock()
+        self._fingerprint: str | None = None  # concurrency: guarded-by(self._lock)
+
+    @property
+    def fingerprint(self) -> str:
+        """The matrix's content hash, computed on the first call."""
+        with self._lock:
+            if self._fingerprint is None:
+                self._fingerprint = matrix_fingerprint(self.csr)
+            return self._fingerprint
+
+
+def _csr_of(matrix: CSRMatrix | MatrixHandle) -> CSRMatrix:
+    return matrix.csr if isinstance(matrix, MatrixHandle) else matrix
+
+
+def _fingerprint_of(matrix: CSRMatrix | MatrixHandle) -> str:
+    """A handle's memoized digest, or one hash of a raw CSR per call."""
+    if isinstance(matrix, MatrixHandle):
+        return matrix.fingerprint
+    return matrix_fingerprint(matrix)
 
 
 @dataclass
@@ -164,13 +221,38 @@ class SpMVEngine:
         self.resilience = resilience
         self.planner = planner
         self.cache = OperandCache(cache_bytes, name=f"engine:{kernel}")
-        # Guards the engine's own bookkeeping (stats) only.
+        # Guards the engine's own bookkeeping (stats, _preparing) only.
         # It is NEVER held across prepare/execute_chain, so concurrent
         # batches still run in parallel; the cache has its own lock.
         self._lock = threading.Lock()
         self.stats = EngineStats()  # concurrency: guarded-by(self._lock)
+        # [lock, holders] per operand key being looked up (_one_preparer)
+        self._preparing: dict[tuple[str, str], list] = {}  # concurrency: guarded-by(self._lock)
 
     # -- operand management --------------------------------------------------
+    @contextmanager
+    def _one_preparer(self, key: tuple[str, str]):
+        """Serialize the cache-through lookups of one operand key.
+
+        Concurrent first requests on a matrix then convert (or load) it
+        once: the first holder prepares and the others find it cached.
+        Lookups of other keys never wait.  A key's entry lives while a
+        thread holds or waits for its lock.
+        """
+        with self._lock:
+            entry = self._preparing.get(key)
+            if entry is None:
+                entry = self._preparing[key] = [threading.Lock(), 0]
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._lock:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._preparing[key]
+
     def _prepared(self, kernel_name: str, csr: CSRMatrix, fingerprint: str) -> PreparedOperand:
         """Cache-through prepare: a hit skips both conversion and verify.
 
@@ -181,23 +263,27 @@ class SpMVEngine:
         result after the memory tier takes it.  The spilled bytes are a
         pristine pre-execution snapshot: fault hooks mutate the *live*
         operand, never the disk copy, so a later reload heals poisoning.
+        Lookups of one key take turns (:meth:`_one_preparer`), so racing
+        misses convert a matrix once.
         """
         key = (kernel_name, fingerprint)
-        operand = self.cache.get(key)
-        if operand is not None:
-            return operand
-        operand = self._load_persisted(kernel_name, csr, fingerprint)
-        if operand is not None:
+        with self._one_preparer(key):
+            operand = self.cache.get(key)
+            if operand is not None:
+                return operand
+            operand = self._load_persisted(kernel_name, csr, fingerprint)
+            if operand is not None:
+                self.cache.put(key, operand)
+                return operand
+            kernel = get_kernel(kernel_name)
+            start = time.perf_counter()
+            operand = kernel.prepare(csr)
+            elapsed = time.perf_counter() - start
+            with self._lock:
+                self.stats.prepare_calls += 1
+                self.stats.prepare_seconds += elapsed
             self.cache.put(key, operand)
-            return operand
-        kernel = get_kernel(kernel_name)
-        start = time.perf_counter()
-        operand = kernel.prepare(csr)
-        elapsed = time.perf_counter() - start
-        with self._lock:
-            self.stats.prepare_calls += 1
-            self.stats.prepare_seconds += elapsed
-        self.cache.put(key, operand)
+        # a fresh operand spills after the turn ends: waiting lookups hit the cache
         self._spill(kernel_name, fingerprint, operand)
         return operand
 
@@ -225,7 +311,20 @@ class SpMVEngine:
         if payload is not None:
             self.store.put(kernel_name, fingerprint, payload, codec=OPERAND_CODEC)
 
-    def warm(self, csr: CSRMatrix) -> PreparedOperand:
+    def register(self, csr: CSRMatrix) -> MatrixHandle:
+        """Freeze ``csr`` into a :class:`MatrixHandle` that is hashed at most once.
+
+        :meth:`spmv`, :meth:`spmv_many` and :meth:`warm` accept the
+        handle wherever they accept a CSR, and reuse its fingerprint
+        instead of hashing the matrix per request.  Registration is
+        O(1) and hashes nothing; the first call that needs the digest
+        computes it.  The caller's arrays that own their data become
+        read-only (a view is copied instead; see :class:`MatrixHandle`),
+        so new contents need a new registration.
+        """
+        return MatrixHandle(csr)
+
+    def warm(self, matrix: CSRMatrix | MatrixHandle) -> PreparedOperand:
         """Prepare the preferred kernel's operand without executing.
 
         The serving front-end calls this at matrix-registration time so
@@ -233,7 +332,7 @@ class SpMVEngine:
         comes from memory, disk, or one fresh ``prepare`` (spilled for
         the next process).  Counts neither a request nor a batch.
         """
-        return self._prepared(self.kernel_name, csr, matrix_fingerprint(csr))
+        return self._prepared(self.kernel_name, _csr_of(matrix), _fingerprint_of(matrix))
 
     def _invalidate_operand(self, kernel_name: str, fingerprint: str) -> None:
         """Drop a poisoned cached operand.
@@ -323,26 +422,29 @@ class SpMVEngine:
         return result.y
 
     # -- public API ----------------------------------------------------------
-    def spmv(self, csr: CSRMatrix, x: np.ndarray, *, simulate: bool = False) -> np.ndarray:
+    def spmv(
+        self, matrix: CSRMatrix | MatrixHandle, x: np.ndarray, *, simulate: bool = False
+    ) -> np.ndarray:
         """Synchronous single SpMV through the cache (batch of one).
 
         A shape-invalid ``x`` is rejected *before* it is counted:
         ``stats.requests`` and ``engine_requests_total`` only ever cover
         requests the engine actually attempted to serve.
         """
+        csr = _csr_of(matrix)
         x = np.asarray(x)
         if x.ndim != 1 or x.shape[0] != csr.ncols:
             raise KernelError(f"x has shape {x.shape}, expected ({csr.ncols},)")
         with self._lock:
             self.stats.requests += 1
         _count_requests(self.kernel_name, 1)
-        fingerprint = matrix_fingerprint(csr)
+        fingerprint = _fingerprint_of(matrix)
         Y = self._execute_batch(csr, fingerprint, x[None, :].astype(np.float32), simulate)
         return Y[0]
 
     def spmv_many(
         self,
-        requests: list[tuple[CSRMatrix, np.ndarray]],
+        requests: list[tuple[CSRMatrix | MatrixHandle, np.ndarray]],
         *,
         simulate: bool = False,
         return_errors: bool = False,
@@ -354,7 +456,9 @@ class SpMVEngine:
         first-seen order, each group's vectors in request order) and
         executed as one multi-vector ``run_many``; results come back in
         the original request order and each equals the corresponding
-        per-vector :meth:`spmv` bitwise.
+        per-vector :meth:`spmv` bitwise.  A ``matrix`` is a raw CSR,
+        hashed once per request, or a :class:`MatrixHandle`, whose
+        memoized fingerprint every request reuses.
 
         With ``return_errors=True`` a failing micro-batch (chain
         exhausted, deadline missed) does not abort the whole call:
@@ -374,7 +478,8 @@ class SpMVEngine:
         results: list[np.ndarray | ReproError | None] = [None] * len(requests)
         groups: dict[str, dict] = {}
         admitted = 0
-        for position, (csr, x) in enumerate(requests):
+        for position, (matrix, x) in enumerate(requests):
+            csr = _csr_of(matrix)
             x = np.asarray(x)
             if x.ndim != 1 or x.shape[0] != csr.ncols:
                 error = KernelError(
@@ -385,7 +490,7 @@ class SpMVEngine:
                 results[position] = error
                 continue
             admitted += 1
-            fingerprint = matrix_fingerprint(csr)
+            fingerprint = _fingerprint_of(matrix)
             group = groups.setdefault(fingerprint, {"csr": csr, "positions": [], "xs": []})
             group["positions"].append(position)
             group["xs"].append(x.astype(np.float32))

@@ -32,7 +32,13 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from repro.constants import BLOCK_DIM, BLOCK_SIZE
-from repro.errors import BitmapPopcountError, EmptyBlockError, FormatError, OffsetScanError
+from repro.errors import (
+    BitmapPopcountError,
+    EmptyBlockError,
+    FormatError,
+    IndexRangeError,
+    OffsetScanError,
+)
 from repro.formats.base import ArrayField, SparseMatrix, _dtype_matches, register_format
 from repro.formats.bsr import BSRMatrix
 from repro.formats.coo import COOMatrix
@@ -304,6 +310,12 @@ class BitBSRMatrix(SparseMatrix):
         replacing a storage array makes the next call decode again.  The
         view is published by one assignment: threads racing on the first
         call may each decode, but none sees a partial view.
+
+        The build checks once that every decoded row and column lies
+        inside the shape, and raises :class:`~repro.errors.IndexRangeError`
+        if one does not (naming the first set bit past the matrix edge);
+        the view's own arrays are frozen too, so every later run may
+        index with them unchecked.
         """
         storage = tuple(getattr(self, name) for name in _STORAGE)
         view = self._run_view
@@ -311,7 +323,18 @@ class BitBSRMatrix(SparseMatrix):
             for array in storage:
                 array.flags.writeable = False
             rows, cols = self.entry_coordinates(self._index_dtype())
-            view = RunView(rows, cols, round_inputs(self.values, self.input_precision), storage)
+            if rows.size and not (
+                rows.max() < self.nrows and cols.min() >= 0 and cols.max() < self.ncols
+            ):
+                self._check_edge_bits()  # names the first stray bit, if one is the cause
+                raise IndexRangeError(
+                    f"bitbsr: decoded entries fall outside the {self.nrows}x{self.ncols} matrix",
+                    format_name=self.format_name, check="index-range",
+                )
+            values = round_inputs(self.values, self.input_precision)
+            for array in (rows, cols, values):
+                array.flags.writeable = False
+            view = RunView(rows, cols, values, storage)
             self._run_view = view
         return view
 
@@ -408,11 +431,40 @@ class BitBSRMatrix(SparseMatrix):
                 f"at block {block} ({int(self.block_offsets[block])} != {int(scanned[block])})",
                 format_name=self.format_name, check="offset-scan", coord=(block,),
             )
+        self._check_edge_bits()
         # decode only to label a bad value: a clean matrix never pays for it
         self._check_finite(
             self.values, "packed values",
             coords=lambda pos: tuple(int(a[pos]) for a in self.entry_coordinates()),
         )
+
+    def _check_edge_bits(self) -> None:
+        """Raise :class:`IndexRangeError` at the first set bit past the matrix edge.
+
+        Only the last block column and the last block row can hold such
+        a bit, where ``ncols`` or ``nrows`` is not a multiple of 8, so
+        one mask per stored block finds it without decoding.
+        """
+        pad_cols = -self.ncols % BLOCK_DIM
+        pad_rows = -self.nrows % BLOCK_DIM
+        col_mask = sum(1 << b for b in range(BLOCK_SIZE) if b % BLOCK_DIM >= BLOCK_DIM - pad_cols)
+        row_mask = sum(1 << b for b in range(BLOCK_SIZE) if b // BLOCK_DIM >= BLOCK_DIM - pad_rows)
+        if not self.nblocks or not (col_mask or row_mask):
+            return
+        mask = np.where(self.block_cols == self.block_cols_count - 1, _U64(col_mask), _U64(0))
+        mask |= np.where(self.block_row_of() == self.block_rows_count - 1, _U64(row_mask), _U64(0))
+        stray = self.bitmaps & mask
+        if stray.any():
+            block = int(np.flatnonzero(stray)[0])
+            word = int(stray[block])
+            bit = (word & -word).bit_length() - 1  # the lowest stray bit comes first
+            brow, bcol = self._block_coord(block)
+            coord = (brow * BLOCK_DIM + bit // BLOCK_DIM, bcol * BLOCK_DIM + bit % BLOCK_DIM)
+            raise IndexRangeError(
+                f"bitbsr: set bit at {coord} lies outside the "
+                f"{self.nrows}x{self.ncols} matrix (block {block}, bit {bit})",
+                format_name=self.format_name, check="index-range", coord=coord,
+            )
 
     # -- analysis / accounting ----------------------------------------------------
     def compression_rate_vs_coo(self) -> np.ndarray:

@@ -21,14 +21,18 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 __all__ = ["Span", "SpanLog", "get_span_log", "reset_spans", "span"]
 
 #: Retained finished spans; beyond this the oldest are dropped (and
-#: counted) so a long-running service cannot grow without bound.
-DEFAULT_SPAN_LIMIT: int = 100_000
+#: counted), so the log's memory does not grow with traffic.  An engine
+#: batch records 7 spans of about 440 B each, so the default holds the
+#: last ~1,170 batches in about 3.6 MB; the metrics registry keeps the
+#: long-run aggregates.
+DEFAULT_SPAN_LIMIT: int = 8_192
 
 
 @dataclass
@@ -81,7 +85,7 @@ class SpanLog:
 
     def __init__(self, limit: int = DEFAULT_SPAN_LIMIT):
         self.limit = int(limit)
-        self._spans: list[Span] = []  # concurrency: guarded-by(self._lock)
+        self._spans: deque[Span] = deque(maxlen=self.limit)  # concurrency: guarded-by(self._lock)
         # concurrency: not-shared -- live span stack is per-thread
         # (threading.local), so only its owning thread touches it
         self._local = threading.local()
@@ -129,11 +133,9 @@ class SpanLog:
             if stack:
                 stack.pop()
             with self._lock:
+                if len(self._spans) == self.limit:
+                    self.dropped += 1  # the append below evicts the oldest
                 self._spans.append(current)
-                if len(self._spans) > self.limit:
-                    overflow = len(self._spans) - self.limit
-                    del self._spans[:overflow]
-                    self.dropped += overflow
 
     # -- introspection --------------------------------------------------------
     def spans(self) -> tuple[Span, ...]:

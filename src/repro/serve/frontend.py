@@ -4,8 +4,10 @@ This is the serving layer: many callers on many threads submit SpMV
 requests against registered matrices, and the front-end turns that
 concurrent traffic into the same-matrix micro-batches the engine
 already amortizes — one cache lookup and one chain walk per batch
-instead of one per request (each request is still fingerprinted on its
-own).  The moving parts:
+instead of one per request.  Each registered matrix is held as one
+:class:`~repro.engine.MatrixHandle`, so it is hashed at most once (at
+registration when it is warmed, otherwise on its first request) and
+every later request reuses that digest.  The moving parts:
 
 * **admission control** (:meth:`ServeFrontend.submit`): a request is
   validated, checked against its tenant's
@@ -52,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.engine import SpMVEngine
+from repro.engine import MatrixHandle, SpMVEngine
 from repro.errors import (
     AdmissionError,
     DeadlineExceededError,
@@ -253,7 +255,7 @@ class _Pending:
     seq: int
     tenant: str
     matrix: str
-    csr: CSRMatrix
+    handle: MatrixHandle
     x: np.ndarray
     priority: int
     deadline: Deadline | None
@@ -396,7 +398,7 @@ class ServeFrontend:
         # bookkeeping; it is NEVER held across engine execution, so
         # batches on different workers still run in parallel.
         self._cond = threading.Condition()
-        self._matrices: dict[str, CSRMatrix] = {}  # concurrency: guarded-by(self._cond)
+        self._matrices: dict[str, MatrixHandle] = {}  # concurrency: guarded-by(self._cond)
         self._pending: dict[str, list] = {}  # concurrency: guarded-by(self._cond)
         self._quotas: dict[str, TenantQuota] = {}  # concurrency: guarded-by(self._cond)
         self._buckets: dict[str, TokenBucket] = {}  # concurrency: guarded-by(self._cond)
@@ -418,26 +420,37 @@ class ServeFrontend:
     def register_matrix(self, name: str, csr: CSRMatrix, *, warm: bool | None = None) -> None:
         """Register a matrix under ``name``; requests address it by name.
 
-        Re-registering a taken name is a :class:`~repro.errors.ServeError`
-        — tenants hold references to results computed against the old
-        contents, so silent replacement would be a correctness trap.
+        The front-end keeps one :meth:`~repro.engine.SpMVEngine.register`
+        handle per name, so the matrix is hashed at most once and every
+        request reuses that digest.  Registration makes the CSR's arrays
+        read-only (an array that is a view is copied instead): an
+        in-place write raises ``ValueError`` rather than serving stale
+        results.  To serve new contents, build a new
+        :class:`~repro.formats.csr.CSRMatrix` and register it under a new
+        name.  Re-registering a taken name is a
+        :class:`~repro.errors.ServeError` — tenants hold references to
+        results computed against the old contents, so silent replacement
+        would be a correctness trap.
 
         ``warm`` pre-prepares the preferred kernel's operand through
         :meth:`~repro.engine.SpMVEngine.warm` — memory cache, then the
         engine's persistent store, then one conversion spilled back to
         disk — so the tenant's first request never pays the cold-start
-        tax.  The default (``None``) warms exactly when the engine has
-        a persistent store attached; pass ``True``/``False`` to force.
-        Warming happens outside the lock, on the registration path.
+        tax; warming hashes the matrix once.  The default (``None``)
+        warms exactly when the engine has a persistent store attached;
+        pass ``True``/``False`` to force.  Without warming, registration
+        hashes nothing.  Warming happens outside the lock, on the
+        registration path.
         """
+        handle = self.engine.register(csr)
         if warm is None:
             warm = getattr(self.engine, "store", None) is not None
         if warm:
-            self.engine.warm(csr)
+            self.engine.warm(handle)
         with self._cond:
             if name in self._matrices:
                 raise ServeError(f"matrix {name!r} is already registered")
-            self._matrices[name] = csr
+            self._matrices[name] = handle
             self._pending[name] = []
 
     def matrices(self) -> list[str]:
@@ -484,15 +497,14 @@ class ServeFrontend:
         with self._cond:
             if self._closed:
                 raise ServeError("front-end is closed; no new submissions")
-            csr = self._matrices.get(matrix)
-            if csr is None:
+            handle = self._matrices.get(matrix)
+            if handle is None:
                 raise ServeError(
                     f"unknown matrix {matrix!r}; register_matrix() it first"
                 )
-            if x.ndim != 1 or x.shape[0] != csr.ncols:
-                raise KernelError(
-                    f"x has shape {x.shape}, expected ({csr.ncols},)"
-                )
+            ncols = handle.csr.ncols
+            if x.ndim != 1 or x.shape[0] != ncols:
+                raise KernelError(f"x has shape {x.shape}, expected ({ncols},)")
             quota = self._quotas.get(tenant, self.default_quota)
             depth = self._tenant_depth.get(tenant, 0)
             if quota.max_queue_depth is not None and depth >= quota.max_queue_depth:
@@ -522,7 +534,7 @@ class ServeFrontend:
                         seq=seq,
                         tenant=tenant,
                         matrix=matrix,
-                        csr=csr,
+                        handle=handle,
                         x=x,
                         priority=priority,
                         deadline=deadline,
@@ -614,7 +626,7 @@ class ServeFrontend:
         if not ready:
             return outcomes
         results = self.engine.spmv_many(
-            [(record.csr, record.x) for record in ready], return_errors=True
+            [(record.handle, record.x) for record in ready], return_errors=True
         )
         outcomes.extend(zip(ready, results))
         return outcomes

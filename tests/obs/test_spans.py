@@ -1,8 +1,33 @@
 """Span log semantics: nesting, error status, bounds, global helpers."""
 
+import tracemalloc
+
 import pytest
 
 from repro.obs import SpanLog, get_span_log, span
+from repro.obs.spans import DEFAULT_SPAN_LIMIT
+
+CHAIN = ("spaden", "cusparse-bsr", "cusparse-csr", "csr-scalar")
+
+
+def _engine_batch(log: SpanLog) -> None:
+    """The 7 spans one engine batch records, with the engine's attributes."""
+    with log.span("engine.batch", kernel="spaden", k=4, simulate=False) as batch:
+        with log.span("exec.chain", chain=",".join(CHAIN)) as chain:
+            with log.span("exec.attempt", kernel="spaden", position=0, try_number=0) as attempt:
+                with log.span("exec.execute", kernel="spaden", mode="NUMERIC"):
+                    with log.span("exec.prepare", exec_stage="prepare", kernel="spaden") as prep:
+                        prep.attributes["cached"] = True
+                    with log.span(
+                        "exec.run", exec_stage="run", kernel="spaden", mode="NUMERIC", batched=True
+                    ):
+                        pass
+                    with log.span("exec.check", exec_stage="check", kernel="spaden"):
+                        pass
+                attempt.attributes["outcome"] = "ok"
+            chain.attributes["kernel"] = "spaden"
+            chain.attributes["degradations"] = 0
+        batch.attributes["served_by"] = "spaden"
 
 
 class TestSpanLog:
@@ -54,6 +79,22 @@ class TestSpanLog:
         assert len(log) == 3
         assert log.dropped == 2
         assert [s.name for s in log.spans()] == ["s2", "s3", "s4"]
+
+    def test_default_log_memory_does_not_grow_with_traffic(self):
+        log = SpanLog()
+        recorded = 0
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            while recorded < 20_000:
+                _engine_batch(log)
+                recorded += 7
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log) == DEFAULT_SPAN_LIMIT
+        assert log.dropped == recorded - DEFAULT_SPAN_LIMIT
+        assert retained < 5 * 2**20
 
     def test_as_dicts_shape(self):
         log = SpanLog()

@@ -12,7 +12,7 @@ import pytest
 
 from repro.constants import BLOCK_DIM
 from repro.core.builder import build_bitbsr
-from repro.core.spmv import spaden_spmv_simulated
+from repro.core.spmv import spaden_spmv, spaden_spmv_simulated
 from repro.errors import (
     BitmapPopcountError,
     IndexRangeError,
@@ -100,6 +100,32 @@ def test_index_range_error_names_the_slot(coo):
     with pytest.raises(IndexRangeError) as excinfo:
         csr.verify(deep=True)
     assert 5 in excinfo.value.coord or excinfo.value.coord  # slot recorded
+
+
+@pytest.mark.parametrize(
+    "shape, block_col, bit, coord",
+    [((8, 13), 1, 7, (0, 15)), ((5, 8), 0, 56, (7, 0))],
+    ids=["column-past-edge", "row-below-last"],
+)
+def test_bitbsr_set_bit_past_the_edge_is_an_index_range_error(shape, block_col, bit, coord):
+    # one value in the padding of the last block column or block row:
+    # the constructor's popcount and range checks cannot see it
+    bit_matrix = BitBSRMatrix(
+        shape, [0, 1], [block_col], np.array([1 << bit], np.uint64), np.array([1.0], np.float16)
+    )
+    with pytest.raises(IndexRangeError) as excinfo:
+        bit_matrix.verify(deep=True)
+    assert excinfo.value.coord == coord
+    with pytest.raises(IndexRangeError) as excinfo:
+        spaden_spmv(bit_matrix, np.ones(shape[1], np.float32))
+    assert excinfo.value.coord == coord
+
+
+def test_bitbsr_run_view_freezes_its_own_arrays(coo):
+    view = build_bitbsr(CSRMatrix.from_coo(coo)).matrix.run_view()
+    for array in (view.rows, view.cols, view.values):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 @pytest.mark.parametrize(

@@ -72,20 +72,26 @@ def _batches(matrix: str, cause: str) -> float:
 class _GatedEngine(SpMVEngine):
     """A spaden engine whose ``spmv_many`` waits at a gate the test opens.
 
-    Each batch puts the CSR of its first request on ``arrivals`` as it
-    reaches the engine, then waits for a permit.  ``release(n)`` lets
-    ``n`` waiting or later batches through; ``release()`` opens the
-    gate for good.
+    Each batch puts the CSR its first request's handle was registered
+    from on ``arrivals`` as it reaches the engine, then waits for a
+    permit.  ``release(n)`` lets ``n`` waiting or later batches through;
+    ``release()`` opens the gate for good.
     """
 
     def __init__(self):
         super().__init__("spaden")
         self.arrivals: queue.SimpleQueue = queue.SimpleQueue()
+        self._sources: dict = {}
         self._gate = threading.Condition()
         self._permits = 0
 
+    def register(self, csr):
+        handle = super().register(csr)
+        self._sources[handle] = csr
+        return handle
+
     def spmv_many(self, requests, **kwargs):
-        self.arrivals.put(requests[0][0])
+        self.arrivals.put(self._sources[requests[0][0]])
         with self._gate:
             while self._permits <= 0:
                 self._gate.wait()
