@@ -79,11 +79,15 @@ def spaden_spmv_simulated(
     of an odd-height matrix leaves its bottom-right portion empty.  With
     ``check_overflow`` the MMA unit raises
     :class:`~repro.errors.NumericalError` (with the lane/register
-    coordinate) as soon as an accumulator register goes non-finite.
+    coordinate) as soon as an accumulator register goes non-finite.  A
+    set bit past the matrix edge raises
+    :class:`~repro.errors.IndexRangeError` before any warp runs, as the
+    numeric twin does.
     """
     x = np.asarray(x)
     if x.ndim != 1 or x.shape[0] != bitbsr.ncols:
         raise KernelError(f"x has shape {x.shape}, expected ({bitbsr.ncols},)")
+    bitbsr._check_edge_bits()
     if precision is None:
         precision = bitbsr.input_precision
     memory = GlobalMemory()
@@ -250,6 +254,7 @@ def spaden_spmv_simulated_many(
     multiplication.
     """
     X = _check_batch(X, bitbsr.ncols)
+    bitbsr._check_edge_bits()
     if precision is None:
         precision = bitbsr.input_precision
     k = X.shape[0]

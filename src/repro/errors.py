@@ -219,10 +219,10 @@ class ResilienceError(ReproError):
 
 
 class ServeError(ReproError):
-    """The serving front-end was misconfigured or misused (bad flush
-    policy, duplicate matrix registration, unknown matrix name, a
-    request submitted after :meth:`~repro.serve.ServeFrontend.close`,
-    ...)."""
+    """The serving front-end was misconfigured or misused (a worker
+    count or ``max_batch`` below 1, duplicate matrix registration,
+    unknown matrix name, a request submitted after
+    :meth:`~repro.serve.ServeFrontend.close`, ...)."""
 
 
 class PlanError(ReproError):

@@ -35,13 +35,17 @@ def to_tf32(x: np.ndarray) -> np.ndarray:
     """Round float32 values to TF32 (8-bit exponent, 10-bit mantissa).
 
     Implemented as round-to-nearest-even on the low 13 mantissa bits,
-    which matches Ampere's conversion behaviour.
+    which matches Ampere's conversion behaviour.  A NaN stays a NaN: the
+    rounding carry would run through its payload into the exponent and
+    sign, so it keeps its high bits with the quiet bit set instead.
     """
     bits = np.asarray(x, dtype=np.float32).view(np.uint32)
     # round to nearest even at bit 13
     round_bit = np.uint32(1 << 12)
     lsb = (bits >> np.uint32(13)) & np.uint32(1)
     rounded = bits + round_bit - np.uint32(1) + lsb
+    nan = (bits & np.uint32(0x7FFFFFFF)) > np.uint32(0x7F800000)
+    rounded = np.where(nan, bits | np.uint32(0x00400000), rounded)
     return (rounded & np.uint32(0xFFFFE000)).view(np.float32).copy()
 
 

@@ -62,10 +62,8 @@ class Deadline:
         """Absolute clock reading at which the budget runs out.
 
         This is what deadline-aware schedulers order by: the serving
-        front-end's flush policy flushes a micro-batch early when the
-        group's earliest ``expires_at`` gets close (see
-        :class:`repro.serve.FlushPolicy`), and batch assembly sorts
-        requests so the most urgent deadline rides first.
+        front-end's batch assembly sorts requests so the most urgent
+        deadline rides first (see :class:`repro.serve.ServeFrontend`).
         """
         return self._start + self.budget
 

@@ -5,17 +5,16 @@ package supplies the layer that turns concurrent multi-tenant traffic
 into those batches.  A :class:`ServeFrontend` accepts requests against
 registered matrices from many threads, applies admission control and
 per-tenant quotas (:class:`TenantQuota`, rejecting with a structured
-:class:`~repro.errors.AdmissionError`), hands the oldest pending
-requests to any idle worker at once, coalesces same-matrix requests
-under a :class:`FlushPolicy` only while every worker is busy (flush on
-full batch, oldest-request age, or earliest-deadline pressure), and
-executes micro-batches on a worker pool through
+:class:`~repro.errors.AdmissionError`), hands each free worker the
+group holding the oldest pending request, lets same-matrix requests
+keep coalescing while every worker is busy, and executes the
+micro-batches on a worker pool through
 :meth:`~repro.engine.SpMVEngine.spmv_many` — every request
 resolving a :class:`ServeTicket` with its result vector or its
 structured error, never silently dropped.
 
 Built entirely on the PR-6/PR-7 hardened seams: per-request
-:class:`~repro.resilience.Deadline`\\ s feed the flush policy and gate
+:class:`~repro.resilience.Deadline`\\ s order batch assembly and gate
 dispatch, the engine's ``return_errors`` contract delivers per-request
 failures, everything shared is lock-guarded under the
 :mod:`repro.analysis.concurrency` audit, and the whole layer reports
@@ -25,11 +24,9 @@ benchmark's ``serve-hot`` and ``serve-churn`` workloads
 """
 
 from repro.serve.frontend import ServeFrontend, ServeTicket
-from repro.serve.policy import FlushPolicy
 from repro.serve.quota import TenantQuota, TokenBucket
 
 __all__ = [
-    "FlushPolicy",
     "ServeFrontend",
     "ServeTicket",
     "TenantQuota",

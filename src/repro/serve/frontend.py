@@ -16,15 +16,17 @@ every later request reuses that digest.  The moving parts:
   :class:`~repro.resilience.Deadline`, and queued — or rejected with a
   structured :class:`~repro.errors.AdmissionError` before it costs
   anything;
-* **work-conserving dispatch** (:meth:`_dispatch_loop`): one
-  dispatcher thread watches the per-matrix pending groups and the
-  number of batches in flight.  While a worker is idle it flushes the
-  oldest pending groups at once, one per idle worker (cause ``idle``);
-  only while every worker is busy does a group wait, until the
-  :class:`~repro.serve.policy.FlushPolicy` flushes it (full batch,
-  aging oldest request, or earliest-deadline pressure).  Batches
-  assemble in urgency order (priority, then earliest ``expires_at``,
-  then admission order);
+* **late-binding dispatch** (:meth:`_dispatch_loop`): one dispatcher
+  thread watches the per-matrix pending groups and the number of
+  batches in flight, and hands a batch to a worker only when that
+  worker is free: each idle worker takes the group holding the oldest
+  request (cause ``idle``).  While every worker is busy nothing
+  flushes, so same-matrix requests keep joining their group, and a
+  batch pays one cache lookup (and, for an evicted operand, one store
+  load and decode) whatever its size.  ``close()`` flushes the rest
+  (cause ``drain``).  Batches assemble in urgency order (priority,
+  then earliest ``expires_at``, then admission order), at most
+  ``max_batch`` requests each;
 * **execution** (:meth:`_run_batch`): a thread pool runs each batch
   through :meth:`~repro.engine.SpMVEngine.spmv_many` with
   ``return_errors=True``, so every request resolves its
@@ -64,18 +66,9 @@ from repro.errors import (
 from repro.formats.csr import CSRMatrix
 from repro.obs import get_registry
 from repro.resilience import Deadline
-from repro.serve.policy import FlushPolicy
 from repro.serve.quota import TenantQuota, TokenBucket
 
 __all__ = ["ServeFrontend", "ServeTicket"]
-
-#: How long the dispatcher sleeps between pressure re-checks while
-#: requests are pending.  A submission or a finished batch notifies it
-#: immediately; this bound only matters for pure time pressure
-#: (max-wait / deadline), and keeps the loop live under a virtual clock
-#: in tests.
-_DISPATCH_TICK_SECONDS = 0.05
-
 
 # -- metrics (capture-then-publish helpers, engine-style) ---------------------
 
@@ -269,16 +262,9 @@ def _urgency(record: _Pending) -> tuple:
     return (-record.priority, expires, record.seq)
 
 
-def _group_pressure(group: list, now: float) -> tuple[float, float | None]:
-    """One group's ``(oldest_age, min_expires_in)`` observations."""
-    oldest = min(r.submitted_at for r in group)
-    expiries = [r.deadline.expires_at for r in group if r.deadline is not None]
-    return now - oldest, (min(expiries) - now) if expiries else None
-
-
-def _oldest(group: list) -> tuple[float, int]:
-    """The group's oldest request as ``(submitted_at, seq)``; seq breaks ties."""
-    return min((r.submitted_at, r.seq) for r in group)
+def _oldest(group: list) -> int:
+    """The admission ``seq`` of the group's oldest request."""
+    return min(r.seq for r in group)
 
 
 def _take(group: list, max_batch: int) -> list:
@@ -290,64 +276,34 @@ def _take(group: list, max_batch: int) -> list:
 
 
 def _pop_due(
-    pending: dict[str, list],
-    policy: FlushPolicy,
-    now: float,
-    drain: bool,
-    idle: int,
+    pending: dict[str, list], max_batch: int, drain: bool, idle: int
 ) -> list[tuple[str, str, list]]:
-    """Pop every due group as ``(matrix, cause, batch)`` triples.
+    """Pop the batches to hand out now, as ``(matrix, cause, batch)`` triples.
 
     Mutates ``pending`` in place and must run under the front-end lock;
     it is kept free of ``self`` so the lock discipline stays lexical
-    (pass the data, not the fields).  Every group flushes under
-    ``policy``.  With ``drain=True`` every pending request is taken
-    regardless of pressure (shutdown path), still in
-    ``max_batch``-sized urgency-ordered chunks.
-
-    ``idle`` is the number of workers with no batch (``workers`` minus
-    batches in flight).  Whatever of it the policy-driven batches leave
-    goes to the groups holding the oldest requests, one ``idle`` batch
-    each, so a request waits for company only while every worker is
-    busy.
+    (pass the data, not the fields).  ``idle`` is the number of workers
+    with no batch (``workers`` minus batches in flight); each takes the
+    group holding the oldest request, up to ``max_batch`` of it in
+    urgency order (cause ``idle``).  With no idle worker nothing
+    flushes, so the groups keep growing.  With ``drain=True`` every
+    pending request is taken whatever the workers do (shutdown path),
+    still in ``max_batch``-sized urgency-ordered chunks (cause
+    ``drain``).
     """
-    batches: list[tuple[str, str, list]] = []
-    for name, group in pending.items():
-        while group:
-            if drain:
-                cause = "drain"
-            else:
-                oldest_age, min_expires_in = _group_pressure(group, now)
-                cause = policy.decide(
-                    size=len(group),
-                    oldest_age=oldest_age,
-                    min_expires_in=min_expires_in,
-                )
-            if cause is None:
-                break
-            batches.append((name, cause, _take(group, policy.max_batch)))
-    free = idle - len(batches)
-    if free > 0:
-        waiting = sorted(
-            (name for name, group in pending.items() if group),
-            key=lambda name: _oldest(pending[name]),
-        )
-        for name in waiting[:free]:
-            batches.append((name, "idle", _take(pending[name], policy.max_batch)))
-    return batches
-
-
-def _min_due_in(
-    pending: dict[str, list], policy: FlushPolicy, now: float
-) -> float | None:
-    """Seconds until the most pressed group becomes due (None if idle)."""
-    waits = [
-        policy.due_in(oldest_age=pressure[0], min_expires_in=pressure[1])
-        for group in pending.values()
-        if group
-        for pressure in (_group_pressure(group, now),)
-    ]
-    return min(waits) if waits else None
+    if drain:
+        batches = []
+        for name, group in pending.items():
+            while group:
+                batches.append((name, "drain", _take(group, max_batch)))
+        return batches
+    if idle <= 0:
+        return []
+    waiting = sorted(
+        (name for name, group in pending.items() if group),
+        key=lambda name: _oldest(pending[name]),
+    )
+    return [(name, "idle", _take(pending[name], max_batch)) for name in waiting[:idle]]
 
 
 class ServeFrontend:
@@ -359,20 +315,17 @@ class ServeFrontend:
     deadlines, retries and breakers — the front-end adds the
     *per-request* deadline on top, checked before a request's batch is
     handed to the engine.  ``workers`` sizes the execution pool; the
-    dispatcher itself is a single extra thread.  Dispatch is
-    work-conserving: while fewer than ``workers`` batches are in
-    flight, the groups holding the oldest requests flush at once
-    (cause ``idle``), one per idle worker.  Only while every worker is
-    busy does a group wait for ``flush_policy``'s triggers, and a batch
-    those triggers flush then queues in the pool for the next free
+    dispatcher itself is a single extra thread.  Dispatch binds late: a
+    batch is handed out only to a free worker, which takes the group
+    holding the oldest request (cause ``idle``), so while every worker
+    is busy same-matrix requests keep coalescing.  ``max_batch`` caps
+    the requests one batch takes; the rest wait for the next free
     worker.  ``clock`` is injectable
     (:class:`~repro.resilience.ManualClock` in tests) and feeds
-    admission timestamps, rate buckets, request deadlines and the
-    flush triggers alike.
+    admission timestamps, rate buckets and request deadlines alike.
 
-    Every group flushes under the one ``flush_policy``.  Execution
-    walks the engine's planner, if it has one: every batch is one
-    ``spmv_many`` call.
+    Execution walks the engine's planner, if it has one: every batch is
+    one ``spmv_many`` call.
     """
 
     def __init__(
@@ -380,16 +333,18 @@ class ServeFrontend:
         engine: SpMVEngine | None = None,
         *,
         workers: int = 4,
-        flush_policy: FlushPolicy | None = None,
+        max_batch: int = 32,
         default_quota: TenantQuota | None = None,
         default_deadline_seconds: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
+        if max_batch < 1:
+            raise ServeError(f"max_batch must be >= 1, got {max_batch}")
         self.engine = engine if engine is not None else SpMVEngine()
         self.workers = workers
-        self.flush_policy = flush_policy or FlushPolicy()
+        self.max_batch = max_batch
         self.default_quota = default_quota or TenantQuota()
         self.default_deadline_seconds = default_deadline_seconds
         self._clock = clock
@@ -565,27 +520,15 @@ class ServeFrontend:
         _set_depth(tenant, new_depth)
         return ticket
 
-    def poke(self) -> None:
-        """Wake the dispatcher for an immediate pressure re-check.
-
-        Useful under a :class:`~repro.resilience.ManualClock`: advance
-        the virtual clock, then ``poke()`` so max-wait / deadline
-        pressure is evaluated against the new time at once.
-        """
-        with self._cond:
-            self._cond.notify_all()
-
     # -- dispatch --------------------------------------------------------------
     def _dispatch_loop(self) -> None:
-        """Single dispatcher: waits for an idle worker or pressure, fans out."""
+        """Single dispatcher: hands each free worker a batch, drains on close."""
         while True:
             with self._cond:
                 while True:
-                    now = self._clock()
                     batches = _pop_due(
                         self._pending,
-                        self.flush_policy,
-                        now,
+                        self.max_batch,
                         drain=self._closed,
                         idle=self.workers - self._in_flight,
                     )
@@ -593,13 +536,9 @@ class ServeFrontend:
                         self._in_flight += len(batches)
                         break
                     if self._closed:
-                        return  # drained: nothing pending, nothing due
-                    timeout = _min_due_in(self._pending, self.flush_policy, now)
-                    self._cond.wait(
-                        None
-                        if timeout is None
-                        else min(max(timeout, 0.0), _DISPATCH_TICK_SECONDS)
-                    )
+                        return  # drained: nothing pending
+                    # submit, a finished batch and close() all notify
+                    self._cond.wait()
             for matrix, cause, batch in batches:
                 self._pool.submit(self._run_batch, matrix, cause, batch)
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.spmv import spaden_spmv, spaden_spmv_simulated
 from repro.errors import SimulationError
+from repro.formats.bitbsr import BitBSRMatrix
 from repro.gpu.counters import ExecutionStats
 from repro.gpu.fragment import Fragment, FragmentKind
 from repro.gpu.mma import MMAUnit, Precision, to_tf32
@@ -114,3 +116,34 @@ class TestTF32:
     def test_exactly_representable_fixed(self):
         for v in (0.0, 0.5, -2.0, 1024.0, 0.375):
             assert to_tf32(np.float32(v)) == v
+
+    def test_nan_stays_nan_and_every_other_pattern_is_unchanged(self):
+        # a stride of all 2^32 float32 patterns, plus NaNs whose rounding
+        # carry used to reach the exponent (+inf, -0.0, +0.0)
+        bits = np.concatenate(
+            [
+                np.arange(0, 2**32, 4099, dtype=np.uint64).astype(np.uint32),
+                np.array([0x7F800001, 0x7FFFF000, 0xFFFFFFFF, 0xFF800FFF], np.uint32),
+            ]
+        )
+        out = to_tf32(bits.view(np.float32)).view(np.uint32)
+        nan = np.isnan(bits.view(np.float32))
+        assert nan.sum() > 1000
+        assert np.isnan(out[nan].view(np.float32)).all()
+        assert np.array_equal(out[nan] >> 31, bits[nan] >> 31)  # sign kept
+        # every other pattern: round-to-nearest-even at bit 13, in 64 bits
+        wide = bits[~nan].astype(np.uint64)
+        expected = (wide + 0xFFF + ((wide >> 13) & 1)) & 0xFFFFE000
+        assert np.array_equal(out[~nan], expected.astype(np.uint32))
+        assert not (out & 0x1FFF).any()  # all on the TF32 grid
+
+    @pytest.mark.parametrize(
+        "twin",
+        [spaden_spmv, lambda m, x: spaden_spmv_simulated(m, x)[0]],
+        ids=["numeric", "simulated"],
+    )
+    def test_nan_in_x_reaches_y(self, twin):
+        matrix = BitBSRMatrix((8, 8), [0, 1], [0], [1], [2.0], value_dtype=np.float32)
+        x = np.ones(8, np.float32)
+        x.view(np.uint32)[0] = 0x7FFFF000  # rounded to -0.0 before the fix
+        assert np.isnan(twin(matrix, x)[0])

@@ -12,7 +12,11 @@ import pytest
 
 from repro.constants import BLOCK_DIM
 from repro.core.builder import build_bitbsr
-from repro.core.spmv import spaden_spmv, spaden_spmv_simulated
+from repro.core.spmv import (
+    spaden_spmv,
+    spaden_spmv_simulated,
+    spaden_spmv_simulated_many,
+)
 from repro.errors import (
     BitmapPopcountError,
     IndexRangeError,
@@ -118,6 +122,29 @@ def test_bitbsr_set_bit_past_the_edge_is_an_index_range_error(shape, block_col, 
     assert excinfo.value.coord == coord
     with pytest.raises(IndexRangeError) as excinfo:
         spaden_spmv(bit_matrix, np.ones(shape[1], np.float32))
+    assert excinfo.value.coord == coord
+
+
+@pytest.mark.parametrize(
+    "twin",
+    [
+        lambda m: spaden_spmv_simulated(m, np.ones(m.ncols, np.float32)),
+        lambda m: spaden_spmv_simulated_many(m, np.ones((2, m.ncols), np.float32)),
+    ],
+    ids=["simulated", "simulated-many"],
+)
+@pytest.mark.parametrize(
+    "shape, block_col, bit, coord",
+    [((8, 13), 1, 7, (0, 15)), ((5, 8), 0, 56, (7, 0))],
+    ids=["column-past-edge", "row-below-last"],
+)
+def test_bitbsr_simulator_refuses_a_set_bit_past_the_edge(shape, block_col, bit, coord, twin):
+    # the simulator would read x's zero padding and drop the stray value
+    bit_matrix = BitBSRMatrix(
+        shape, [0, 1], [block_col], np.array([1 << bit], np.uint64), np.array([1.0], np.float16)
+    )
+    with pytest.raises(IndexRangeError) as excinfo:
+        twin(bit_matrix)
     assert excinfo.value.coord == coord
 
 

@@ -2,17 +2,18 @@
 
 The contract under test is the serving restatement of the engine's
 batching guarantee: however requests arrive — many threads, many
-tenants, coalesced into whatever micro-batches the flush policy picks —
+tenants, coalesced into whatever micro-batches the dispatcher forms —
 every admitted request resolves with either the bitwise-identical
 result a serial :meth:`~repro.engine.SpMVEngine.spmv` would produce or
 a structured error.  Plus the front-door behaviors around it:
-work-conserving dispatch, admission control, quotas, deadlines,
+late-binding dispatch, admission control, quotas, deadlines,
 drain-on-close, and the ``serve_*`` metrics.
 
 A free worker takes a pending request at once, so the dispatcher races
 the test thread by design.  Tests that need a request to stay queued
-while a virtual clock moves hold every worker at the gate of a
-:class:`_GatedEngine` first.
+hold every worker at the gate of a :class:`_GatedEngine` first.  Tests
+wait for a ticket with a timeout, and every gate opens at teardown, so
+a lost wakeup fails a test instead of hanging it.
 """
 
 import math
@@ -36,15 +37,24 @@ from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.obs import get_registry, reset_observability
 from repro.resilience import ManualClock
-from repro.serve import FlushPolicy, ServeFrontend, TenantQuota
+from repro.serve import ServeFrontend, TenantQuota
+from repro.serve import frontend as serve_frontend
 
 from tests.conftest import make_random_dense
+
+
+#: Every :class:`_GatedEngine` a test builds.  The fixture opens their
+#: gates at teardown, so a test that fails while it holds a worker
+#: cannot leave the pool's thread, and with it pytest, waiting forever.
+_GATED: list = []
 
 
 @pytest.fixture(autouse=True)
 def clean_observability():
     reset_observability()
     yield
+    while _GATED:
+        _GATED.pop().release()
     reset_observability()
 
 
@@ -84,6 +94,7 @@ class _GatedEngine(SpMVEngine):
         self._sources: dict = {}
         self._gate = threading.Condition()
         self._permits = 0
+        _GATED.append(self)
 
     def register(self, csr):
         handle = super().register(csr)
@@ -137,6 +148,11 @@ class TestRegistration:
             with pytest.raises(ServeError):
                 frontend.submit("nope", np.ones(8, np.float32))
 
+    @pytest.mark.parametrize("kwargs", [{"workers": 0}, {"max_batch": 0}])
+    def test_misconfiguration_is_a_structured_error(self, kwargs):
+        with pytest.raises(ServeError):
+            ServeFrontend(SpMVEngine("spaden"), **kwargs)
+
     def test_closed_frontend_rejects_submissions(self, rng):
         frontend = ServeFrontend(SpMVEngine("spaden"), workers=1)
         frontend.register_matrix("A", _csr(rng))
@@ -189,11 +205,7 @@ class TestBitwiseCorrectness:
         loop has each client wait for its ticket before the next submit.
         """
         csrs, xs, plan, references = traffic
-        frontend = ServeFrontend(
-            SpMVEngine("spaden"),
-            workers=4,
-            flush_policy=FlushPolicy(max_batch=8, max_wait_seconds=0.002),
-        )
+        frontend = ServeFrontend(SpMVEngine("spaden"), workers=4, max_batch=8)
         for name, csr in csrs.items():
             frontend.register_matrix(name, csr)
 
@@ -227,11 +239,7 @@ class TestBitwiseCorrectness:
     def test_traffic_actually_coalesced(self, rng):
         csr = _csr(rng)
         engine = _GatedEngine()
-        frontend = ServeFrontend(
-            engine,
-            workers=2,
-            flush_policy=FlushPolicy(max_batch=16, max_wait_seconds=0.05),
-        )
+        frontend = ServeFrontend(engine, workers=2, max_batch=16)
         frontend.register_matrix("A", csr)
         xs = [rng.standard_normal(csr.ncols).astype(np.float32) for _ in range(16)]
         # the workers stay at the gate until every request is in, so the
@@ -259,16 +267,11 @@ class TestWorkConservingDispatch:
 
     def test_free_worker_takes_a_request_without_waiting(self, rng):
         csr = _csr(rng)
-        frontend = ServeFrontend(
-            SpMVEngine("spaden"),
-            workers=1,
-            flush_policy=FlushPolicy(max_batch=64, max_wait_seconds=100.0),
-            clock=ManualClock(),
-        )
+        frontend = ServeFrontend(SpMVEngine("spaden"), workers=1, clock=ManualClock())
         frontend.register_matrix("A", csr)
         x = rng.standard_normal(csr.ncols).astype(np.float32)
         ticket = frontend.submit("A", x)
-        # the clock never moves, so no policy trigger can fire
+        # the clock never moves: the free worker alone dispatches it
         assert np.array_equal(ticket.result(timeout=5), SpMVEngine("spaden").spmv(csr, x))
         frontend.close()
         assert _batches("A", "idle") == 1
@@ -276,12 +279,7 @@ class TestWorkConservingDispatch:
     def test_idle_slots_go_to_the_groups_with_the_oldest_requests(self, rng):
         csrs = {name: _csr(rng) for name in "ABC"}
         engine = _GatedEngine()
-        frontend = ServeFrontend(
-            engine,
-            workers=2,
-            flush_policy=FlushPolicy(max_batch=64, max_wait_seconds=100.0),
-            clock=ManualClock(),
-        )
+        frontend = ServeFrontend(engine, workers=2, clock=ManualClock())
         for name, csr in csrs.items():
             frontend.register_matrix(name, csr)
         x = rng.standard_normal(40).astype(np.float32)
@@ -308,20 +306,13 @@ class TestWorkConservingDispatch:
     def test_only_idle_slots_serve_a_frozen_clock_under_contention(self, rng):
         """8 workers, 4 closed-loop clients, a tiny switch interval.
 
-        With the clock frozen and batches that never fill, no policy
-        trigger fires, so every request is served by an idle flush; a
-        lost update of the in-flight count would leave one waiting
-        forever.
+        Every request is served by an idle flush; a lost update of the
+        in-flight count would leave one waiting forever.
         """
         csrs = {name: _csr(rng) for name in "ABC"}
         serial = SpMVEngine("spaden")
         xs = [rng.standard_normal(40).astype(np.float32) for _ in range(4)]
-        frontend = ServeFrontend(
-            SpMVEngine("spaden"),
-            workers=8,
-            flush_policy=FlushPolicy(max_batch=64, max_wait_seconds=100.0),
-            clock=ManualClock(),
-        )
+        frontend = ServeFrontend(SpMVEngine("spaden"), workers=8, clock=ManualClock())
         for name, csr in csrs.items():
             frontend.register_matrix(name, csr)
 
@@ -353,12 +344,7 @@ class TestWorkConservingDispatch:
     ):
         csr = _csr(rng)
         engine = _GatedEngine()
-        frontend = ServeFrontend(
-            engine,
-            workers=1,
-            flush_policy=FlushPolicy(max_batch=64, max_wait_seconds=100.0),
-            clock=ManualClock(),
-        )
+        frontend = ServeFrontend(engine, workers=1, clock=ManualClock())
         frontend.register_matrix("A", csr)
         x = rng.standard_normal(csr.ncols).astype(np.float32)
         calls = []
@@ -375,7 +361,7 @@ class TestWorkConservingDispatch:
             first.add_done_callback(boom)
         engine.release()
         assert first.error(timeout=5) is None
-        # the frozen clock fires no trigger: only a freed worker takes it
+        # only the freed worker can take it
         second = frontend.submit("A", x)
         assert second.error(timeout=5) is None
         frontend.close()
@@ -387,20 +373,70 @@ class TestWorkConservingDispatch:
         assert f"{fault} failed" in caplog.text  # reported, not lost
 
 
+class TestLateBinding:
+    """A batch goes only to a free worker, so a held pool keeps coalescing."""
+
+    def test_requests_queued_behind_a_busy_worker_ride_one_idle_batch(self, rng):
+        csr = _csr(rng)
+        clock = ManualClock()
+        engine = _GatedEngine()
+        frontend = ServeFrontend(engine, workers=1, clock=clock)
+        frontend.register_matrix("A", csr)
+        xs = [rng.standard_normal(csr.ncols).astype(np.float32) for _ in range(6)]
+        blocker = frontend.submit("A", xs[0])
+        assert engine.arrived() is csr  # the only worker is held
+        tickets = []
+        for x in xs:
+            tickets.append(frontend.submit("A", x))
+            clock.advance(0.011)  # the group ages; only a free worker flushes it
+        engine.release()
+        serial = SpMVEngine("spaden")
+        assert blocker.error(timeout=10) is None
+        for x, ticket in zip(xs, tickets):
+            assert ticket.error(timeout=10) is None
+            assert np.array_equal(ticket.result(), serial.spmv(csr, x))
+        frontend.close()
+        # the blocker's batch, then every queued request in one batch
+        assert _batches("A", "idle") == 2
+        assert engine.stats.batches == 2
+        assert engine.stats.requests == len(xs) + 1
+
+    def test_a_held_pool_wakes_the_dispatcher_only_on_events(self, rng, monkeypatch):
+        passes = []
+        pop_due = serve_frontend._pop_due
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return pop_due(*args, **kwargs)
+
+        monkeypatch.setattr(serve_frontend, "_pop_due", counted)
+        csr = _csr(rng)
+        engine = _GatedEngine()
+        frontend = ServeFrontend(engine, workers=1, clock=ManualClock())
+        frontend.register_matrix("A", csr)
+        x = rng.standard_normal(csr.ncols).astype(np.float32)
+        blocker = frontend.submit("A", x)
+        assert engine.arrived() is csr  # the only worker is held
+        queued = [frontend.submit("A", x) for _ in range(3)]
+        time.sleep(0.3)
+        held = len(passes)
+        engine.release()
+        for ticket in [blocker, *queued]:
+            assert ticket.error(timeout=10) is None
+        frontend.close()
+        # one pass at start, one per submission, one after the one flush;
+        # a dispatcher that polled would add a pass per tick of the hold
+        assert held <= 1 + 4 + 1
+
+
 class TestQuotas:
     def test_queue_depth_quota_rejects_structurally(self, rng):
         csr = _csr(rng)
         clock = ManualClock()
         engine = _GatedEngine()
-        # a frozen clock never ages the group past max_wait, the batch
-        # never fills, and the only worker is held at the gate: admitted
-        # requests stay in flight
-        frontend = ServeFrontend(
-            engine,
-            workers=1,
-            flush_policy=FlushPolicy(max_batch=64, max_wait_seconds=5.0),
-            clock=clock,
-        )
+        # the only worker is held at the gate: admitted requests stay in
+        # flight
+        frontend = ServeFrontend(engine, workers=1, clock=clock)
         frontend.register_matrix("A", csr)
         frontend.set_quota("t0", TenantQuota(max_queue_depth=2))
         x = rng.standard_normal(csr.ncols).astype(np.float32)
@@ -430,23 +466,17 @@ class TestQuotas:
             == 1
         )
         clock.advance(6.0)
-        frontend.poke()
         engine.release()
         # resolved before close(), which would flush the group as drain
         assert other.error(timeout=10) is None
         frontend.close()
         assert blocker.error() is None
-        assert _batches("A", "max-wait") == 1
+        assert _batches("A", "idle") == 2
 
     def test_rate_quota_uses_the_injected_clock(self, rng):
         csr = _csr(rng)
         clock = ManualClock()
-        frontend = ServeFrontend(
-            SpMVEngine("spaden"),
-            workers=1,
-            flush_policy=FlushPolicy(max_batch=4, max_wait_seconds=0.0),
-            clock=clock,
-        )
+        frontend = ServeFrontend(SpMVEngine("spaden"), workers=1, max_batch=4, clock=clock)
         frontend.register_matrix("A", csr)
         frontend.set_quota("t0", TenantQuota(max_requests_per_second=1.0, burst=2))
         x = rng.standard_normal(csr.ncols).astype(np.float32)
@@ -467,23 +497,17 @@ class TestDeadlines:
         csr = _csr(rng)
         clock = ManualClock()
         engine = _GatedEngine()
-        frontend = ServeFrontend(
-            engine,
-            workers=1,
-            flush_policy=FlushPolicy(max_batch=64, max_wait_seconds=100.0),
-            clock=clock,
-        )
+        frontend = ServeFrontend(engine, workers=1, clock=clock)
         frontend.register_matrix("A", csr)
         x = rng.standard_normal(csr.ncols).astype(np.float32)
         frontend.submit("A", x, tenant="blocker")
         assert engine.arrived() is csr  # the only worker is busy
         doomed = frontend.submit("A", x, tenant="t0", deadline_seconds=5.0)
-        clock.advance(6.0)  # past the deadline, before any flush trigger
-        frontend.poke()
+        clock.advance(6.0)  # past the deadline while the worker is held
         engine.release()
         assert isinstance(doomed.error(timeout=10), DeadlineExceededError)
         frontend.close()
-        assert _batches("A", "deadline") == 1
+        assert _batches("A", "idle") == 2
         assert (
             _counter_value(
                 "serve_requests_total",
@@ -499,39 +523,26 @@ class TestDeadlines:
         csr = _csr(rng)
         clock = ManualClock()
         engine = _GatedEngine()
-        frontend = ServeFrontend(
-            engine,
-            workers=1,
-            flush_policy=FlushPolicy(
-                max_batch=64, max_wait_seconds=100.0, deadline_slack_seconds=2.0
-            ),
-            clock=clock,
-        )
+        frontend = ServeFrontend(engine, workers=1, clock=clock)
         frontend.register_matrix("A", csr)
         x = rng.standard_normal(csr.ncols).astype(np.float32)
         frontend.submit("A", x, tenant="blocker")
         assert engine.arrived() is csr  # the only worker is busy
         ticket = frontend.submit("A", x, deadline_seconds=10.0)
-        clock.advance(9.0)  # 1s of budget left, inside the 2s slack
-        frontend.poke()
+        clock.advance(9.0)  # 1s of budget left
         engine.release()
-        # flushed by deadline pressure with budget remaining: it succeeds
+        # taken by the freed worker with budget remaining: it succeeds
         assert ticket.error(timeout=10) is None
         assert np.array_equal(ticket.result(), SpMVEngine("spaden").spmv(csr, x))
         frontend.close()
-        assert _batches("A", "deadline") == 1
+        assert _batches("A", "idle") == 2
 
 
 class TestDrain:
     def test_close_resolves_everything_pending(self, rng):
         csrs = {name: _csr(rng) for name in "ABC"}
         engine = _GatedEngine()
-        frontend = ServeFrontend(
-            engine,
-            workers=2,
-            flush_policy=FlushPolicy(max_batch=64, max_wait_seconds=100.0),
-            clock=ManualClock(),
-        )
+        frontend = ServeFrontend(engine, workers=2, clock=ManualClock())
         for name, csr in csrs.items():
             frontend.register_matrix(name, csr)
         xs = [rng.standard_normal(40).astype(np.float32) for _ in range(5)]

@@ -1,4 +1,4 @@
-"""Unit coverage for the pure serving pieces: flush policy and quotas.
+"""Unit coverage for the pure serving pieces: tenant quotas and rate buckets.
 
 Both are deliberately thread-free and clock-injected, so every branch
 is exercised here against a :class:`~repro.resilience.ManualClock`
@@ -9,44 +9,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.resilience import ManualClock
-from repro.serve import FlushPolicy, TenantQuota, TokenBucket
-
-
-class TestFlushPolicy:
-    def test_triggers_fire_in_priority_order(self):
-        policy = FlushPolicy(max_batch=4, max_wait_seconds=0.5, deadline_slack_seconds=0.1)
-        # full batch wins even with time pressure present
-        assert (
-            policy.decide(size=4, oldest_age=9.0, min_expires_in=0.0) == "max-batch"
-        )
-        assert policy.decide(size=2, oldest_age=0.6, min_expires_in=0.0) == "max-wait"
-        assert policy.decide(size=2, oldest_age=0.1, min_expires_in=0.05) == "deadline"
-        assert policy.decide(size=2, oldest_age=0.1, min_expires_in=None) is None
-        assert policy.decide(size=0, oldest_age=99.0, min_expires_in=0.0) is None
-
-    def test_deadline_slack_leaves_execution_budget(self):
-        eager = FlushPolicy(max_batch=8, max_wait_seconds=10.0, deadline_slack_seconds=2.0)
-        assert eager.decide(size=1, oldest_age=0.0, min_expires_in=1.5) == "deadline"
-        assert eager.decide(size=1, oldest_age=0.0, min_expires_in=2.5) is None
-
-    def test_due_in_tracks_the_nearest_time_trigger(self):
-        policy = FlushPolicy(max_batch=8, max_wait_seconds=1.0, deadline_slack_seconds=0.25)
-        assert policy.due_in(oldest_age=0.2, min_expires_in=None) == pytest.approx(0.8)
-        assert policy.due_in(oldest_age=0.2, min_expires_in=0.5) == pytest.approx(0.25)
-        # already due clamps at zero, never negative
-        assert policy.due_in(oldest_age=5.0, min_expires_in=None) == 0.0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_batch": 0},
-            {"max_wait_seconds": -0.1},
-            {"deadline_slack_seconds": -1.0},
-        ],
-    )
-    def test_misconfiguration_is_a_structured_error(self, kwargs):
-        with pytest.raises(ServeError):
-            FlushPolicy(**kwargs)
+from repro.serve import TenantQuota, TokenBucket
 
 
 class TestTenantQuota:
