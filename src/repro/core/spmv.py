@@ -1,6 +1,6 @@
 """Public Spaden SpMV entry points.
 
-Two execution paths share the same semantics:
+Two execution paths share the same semantics for every finite ``x``:
 
 * :func:`spaden_spmv_simulated` drives the lane-accurate simulator —
   every bitmap test, register write, MMA and predicated store happens
@@ -20,6 +20,13 @@ Two execution paths share the same semantics:
 Both honor the mixed-precision pipeline: bitBSR stores half-precision
 values, fragment B receives a half-precision x, products accumulate in
 float32.
+
+A NaN or inf in ``x`` is where they part.  The simulator's MMA
+multiplies each block's zero padding by the block column's ``x``
+segment, as a tensor core does, and 0 × inf and 0 × NaN are NaN, so a
+non-finite ``x[c]`` turns every row of every block covering column ``c``
+to NaN.  The vectorized path multiplies stored entries only, so it
+reaches just the rows holding an entry in column ``c``.
 """
 
 from __future__ import annotations
@@ -112,10 +119,14 @@ def spaden_spmv(
 ) -> np.ndarray:
     """Vectorized Spaden SpMV with tensor-core arithmetic semantics.
 
-    Mathematically identical to :func:`spaden_spmv_simulated`: values and
-    the x operand are rounded to the input precision, every product is a
-    float32 multiply, and per-row sums accumulate in float32-or-wider.
-    It is :func:`spaden_spmv_many` on a batch of one.
+    For a finite ``x``, mathematically identical to
+    :func:`spaden_spmv_simulated`: values and the x operand are rounded
+    to the input precision, every product is a float32 multiply, and
+    per-row sums accumulate in float32-or-wider.  A NaN or inf in ``x``
+    reaches only the rows holding an entry in its column, where the
+    simulator spreads it to every row of the blocks covering that column
+    (see the module docstring).  It is :func:`spaden_spmv_many` on a
+    batch of one.
     """
     x = np.asarray(x)
     if x.ndim != 1 or x.shape[0] != bitbsr.ncols:
@@ -162,7 +173,8 @@ def spaden_spmv_many(
     """Batched Spaden SpMV: a gather-multiply-``bincount`` per vector and chunk.
 
     ``X`` holds ``k`` input vectors as rows, and row ``j`` of the result
-    is ``spaden_spmv(bitbsr, X[j])``.  Every vector runs on the matrix's
+    is ``spaden_spmv(bitbsr, X[j])``, so it matches the simulator's row
+    ``j`` only where ``X[j]`` is finite.  Every vector runs on the matrix's
     run view, so the bitmap decode is paid once per matrix; a
     ``precision`` other than the matrix's own reuses the view's
     coordinates and rounds the stored values once per call.  Each vector

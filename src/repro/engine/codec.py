@@ -8,7 +8,7 @@ string, and old entries become structured ``codec`` misses instead of
 misdecodes.
 
 The payload is a pickle, and unpickling runs whatever the bytes say.
-The store's blake2b digest (:class:`~repro.persist.OperandStore`) is
+The store's SHA-256 digest (:class:`~repro.persist.OperandStore`) is
 unkeyed and sits in the same file as the payload, so it detects
 corruption but not forgery: anyone who can write the file can write a
 matching digest.  The trust boundary is therefore the directory — a
@@ -21,6 +21,9 @@ reports back to the store as a structured ``decode`` miss.
 A payload holds the operand as prepared: data a kernel derives on its
 first run (Spaden's decoded run view) is dropped by the format's
 ``__getstate__``, so the bytes never depend on whether the operand ran.
+Decoding unpickles straight from the store's read-only view of the
+file, so a load copies the payload's bytes only into the arrays it
+rebuilds.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ def encode_operand(operand: PreparedOperand) -> bytes | None:
 
 
 def decode_operand(
-    payload: bytes, *, kernel_name: str, csr: CSRMatrix
+    payload: bytes | memoryview, *, kernel_name: str, csr: CSRMatrix
 ) -> PreparedOperand | None:
     """Rebuild an operand, or ``None`` if the payload is unusable.
 

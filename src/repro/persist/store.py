@@ -6,14 +6,24 @@ File layout of one entry (``<kernel>__<fingerprint>.operand``)::
     schema  u32 LE    store schema version
     hlen    u32 LE    header length in bytes
     header  JSON      {kernel, fingerprint, codec, payload_bytes, digest}
-    payload bytes     exactly payload_bytes, blake2b-16 == digest
+    payload bytes     exactly payload_bytes, SHA-256 (first 128 bits) == digest
 
 Every load re-validates the whole frame: magic, schema, header shape,
 payload length, payload digest and the key/codec the caller asked for.
 Anything that does not check out is a **structured miss** — counted by
 reason, the bad file unlinked, ``None`` returned so the caller falls
 through to re-conversion.  A store read can therefore never crash the
-engine and never serve bytes that differ from what was written.
+engine and never serve bytes that differ from what was written.  A hit
+is a read-only :class:`memoryview` of the payload inside the buffer the
+file was read into: the payload is validated, hashed and returned
+without a copy, and a put writes the header and the payload without
+joining them.
+
+The digest is unkeyed and sits in the same file as the payload: it
+detects corruption, not forgery.  Schema 2 moved the digest (and the
+engine's fingerprint, which names the files) from blake2b to SHA-256,
+so a schema-1 frame is a counted ``schema`` miss, not ``digest``
+corruption.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent readers —
 including other processes sharing the directory — observe either the
@@ -37,9 +47,11 @@ from repro.obs import get_registry
 
 __all__ = ["DEFAULT_STORE_BYTES", "SCHEMA_VERSION", "OperandStore", "StoreStats"]
 
-#: Bump whenever the entry frame or any codec's byte layout changes;
-#: entries written under another version are structured misses.
-SCHEMA_VERSION: int = 1
+#: Bump whenever the entry frame, the payload digest, the fingerprint
+#: that names the files or any codec's byte layout changes; entries
+#: written under another version are structured misses.  Version 2:
+#: SHA-256 digests and fingerprints (version 1 used blake2b).
+SCHEMA_VERSION: int = 2
 
 #: Default on-disk budget: 1 GiB of spilled operands.
 DEFAULT_STORE_BYTES: int = 1024 * 1024 * 1024
@@ -56,8 +68,9 @@ _CORRUPT_REASONS = frozenset(
 )
 
 
-def _digest(payload: bytes) -> str:
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
+def _digest(payload) -> str:
+    """SHA-256 of a contiguous buffer, truncated to 128 bits (32 hex digits)."""
+    return hashlib.sha256(payload).hexdigest()[:32]
 
 
 @dataclass
@@ -221,28 +234,27 @@ class OperandStore:
         return sorted(out)
 
     # -- read ----------------------------------------------------------------
-    def get(self, kernel: str, fingerprint: str, *, codec: str) -> bytes | None:
+    def get(self, kernel: str, fingerprint: str, *, codec: str) -> memoryview | None:
         """Load a validated payload, or ``None`` as a counted miss.
 
-        ``codec`` names the serialization the caller understands; an
-        entry written under a different codec string is a structured
-        miss (reason ``codec``), exactly like a schema-version skew.
-        A hit refreshes the entry's mtime, which is the store's LRU
-        recency signal.
+        The payload comes back as a read-only :class:`memoryview` into
+        the one buffer the file was read into, so a load holds the
+        file's bytes once.  ``codec`` names the serialization the caller
+        understands; an entry written under a different codec string is
+        a structured miss (reason ``codec``), exactly like a
+        schema-version skew.  A hit refreshes the entry's mtime, which is
+        the store's LRU recency signal.
         """
         path = self._path(kernel, fingerprint)
         try:
             data = path.read_bytes()
-        except FileNotFoundError:
-            return self._miss("absent", None)
         except OSError:
             return self._miss("absent", None)
 
-        reason = self._validate_frame(data, kernel, fingerprint, codec)
+        reason, payload = self._validate_frame(memoryview(data), kernel, fingerprint, codec)
         if reason is not None:
             return self._miss(reason, path)
 
-        payload = data[_FIXED + self._header_len(data):]
         try:
             os.utime(path)
         except OSError:
@@ -252,43 +264,42 @@ class OperandStore:
         self._emit([("hit", {})])
         return payload
 
-    @staticmethod
-    def _header_len(data: bytes) -> int:
-        return int.from_bytes(data[_FIXED - 4:_FIXED], "little")
-
     def _validate_frame(
-        self, data: bytes, kernel: str, fingerprint: str, codec: str
-    ) -> str | None:
-        """Return a miss reason, or ``None`` if the frame is a valid hit."""
+        self, data: memoryview, kernel: str, fingerprint: str, codec: str
+    ) -> tuple[str | None, memoryview | None]:
+        """``(None, payload)`` for a valid hit, else ``(reason, None)``.
+
+        ``payload`` is a slice of ``data``, never a copy.
+        """
         if len(data) < _FIXED:
-            return "truncated"
+            return "truncated", None
         if data[: len(_MAGIC)] != _MAGIC:
-            return "magic"
+            return "magic", None
         schema = int.from_bytes(data[len(_MAGIC):len(_MAGIC) + 4], "little")
         if schema != self.schema_version:
-            return "schema"
-        hlen = self._header_len(data)
+            return "schema", None
+        hlen = int.from_bytes(data[_FIXED - 4:_FIXED], "little")
         if len(data) < _FIXED + hlen:
-            return "truncated"
+            return "truncated", None
         try:
-            header = json.loads(data[_FIXED:_FIXED + hlen].decode("utf-8"))
+            header = json.loads(str(data[_FIXED:_FIXED + hlen], "utf-8"))
             payload_bytes = int(header["payload_bytes"])
             digest = str(header["digest"])
             h_kernel = str(header["kernel"])
             h_fingerprint = str(header["fingerprint"])
             h_codec = str(header["codec"])
         except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-            return "header"
+            return "header", None
         payload = data[_FIXED + hlen:]
         if len(payload) != payload_bytes:
-            return "truncated"
+            return "truncated", None
         if _digest(payload) != digest:
-            return "digest"
+            return "digest", None
         if (h_kernel, h_fingerprint) != (str(kernel), str(fingerprint)):
-            return "key-mismatch"
+            return "key-mismatch", None
         if h_codec != codec:
-            return "codec"
-        return None
+            return "codec", None
+        return None, payload
 
     def _miss(self, reason: str, path: Path | None) -> None:
         """Count a structured miss; unlink the offending entry if any."""
@@ -326,14 +337,18 @@ class OperandStore:
     def put(self, kernel: str, fingerprint: str, payload: bytes, *, codec: str) -> bool:
         """Durably write one entry; ``True`` if it is now on disk.
 
-        Failures never raise: a payload larger than the whole budget is
-        counted ``rejected``; an I/O error (disk full, permissions) is
-        counted ``put_errors`` and the temp file cleaned up.  After a
-        successful write, least-recently-used peers are unlinked until
-        the directory fits the budget again.
+        ``payload`` may be any contiguous buffer; it is hashed and
+        written in place, after the frame's fixed fields and header, so
+        the file holds exactly ``prefix + payload`` without that frame
+        ever being built in memory.  Failures never raise: a payload
+        larger than the whole budget is counted ``rejected``; an I/O
+        error (disk full, permissions) is counted ``put_errors`` and the
+        temp file cleaned up.  After a successful write,
+        least-recently-used peers are unlinked until the directory fits
+        the budget again.
         """
-        payload = bytes(payload)
-        if len(payload) > self.size_budget_bytes:
+        payload = memoryview(payload)
+        if payload.nbytes > self.size_budget_bytes:
             with self._lock:
                 self.stats.rejected += 1
             self._emit([("put", {"outcome": "rejected"})])
@@ -344,17 +359,16 @@ class OperandStore:
                 "kernel": str(kernel),
                 "fingerprint": str(fingerprint),
                 "codec": str(codec),
-                "payload_bytes": len(payload),
+                "payload_bytes": payload.nbytes,
                 "digest": _digest(payload),
             },
             sort_keys=True,
         ).encode("utf-8")
-        frame = (
+        prefix = (
             _MAGIC
             + self.schema_version.to_bytes(4, "little")
             + len(header).to_bytes(4, "little")
             + header
-            + payload
         )
 
         path = self._path(kernel, fingerprint)
@@ -364,7 +378,8 @@ class OperandStore:
         tmp = self.root / f".{path.name}.tmp-{os.getpid()}-{seq}"
         try:
             with open(tmp, "wb") as fh:
-                fh.write(frame)
+                fh.write(prefix)
+                fh.write(payload)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)

@@ -160,19 +160,23 @@ class StaticPlanner(Planner):
 
     Exists so "a planner is configured" and "no planner" are provably
     the same path — its plans carry the registry-derived chain order
-    (or an explicit ``chain``) and no ranking.
+    (or an explicit ``chain``) and no ranking.  The registry is read
+    once, at construction, as :class:`~repro.engine.SpMVEngine` reads
+    :func:`~repro.exec.default_chain` for its no-planner path, so every
+    call returns the same plan and a kernel registered later joins
+    neither chain.
     """
 
     name = "static"
 
     def __init__(self, chain: tuple[str, ...] | None = None):
-        self.chain = tuple(chain) if chain is not None else None
+        self.chain = tuple(chain) if chain is not None else fallback_order()
+        if not self.chain:
+            raise PlanError("StaticPlanner has an empty chain")
+        self._plan = ExecutionPlan(kernels=self.chain, planner=self.name)
 
     def plan(self, csr, *, fingerprint: str | None = None) -> ExecutionPlan:
-        kernels = self.chain if self.chain is not None else fallback_order()
-        if not kernels:
-            raise PlanError("StaticPlanner has an empty chain")
-        return ExecutionPlan(kernels=kernels, planner=self.name)
+        return self._plan
 
 
 class StructurePlanner(Planner):

@@ -6,9 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.builder import build_bitbsr
 from repro.core.spmv import spaden_spmv, spaden_spmv_simulated
+from repro.engine import SpMVEngine
 from repro.errors import KernelError
+from repro.exec import ChainExhaustedError
+from repro.formats.bitbsr import BitBSRMatrix
 from repro.formats.convert import to_scipy
 from repro.formats.coo import COOMatrix
+from repro.formats.csr import CSRMatrix
 from repro.gpu.mma import Precision
 from repro.matrices.generators import fp16_exact_values
 
@@ -90,3 +94,55 @@ class TestStatsSanity:
         bit = build_bitbsr(COOMatrix.from_dense(dense)).matrix
         _, stats = spaden_spmv_simulated(bit, fp16_exact_values(rng, 64))
         assert stats.warps_launched == 4  # 8 block rows, 2 per warp
+
+
+class TestNonFiniteX:
+    """What the twins guarantee for a NaN or inf in ``x``: they differ.
+
+    The numeric twin multiplies stored entries only, so a non-finite
+    ``x[c]`` reaches just the rows holding an entry in column ``c``.  The
+    simulator's MMA also multiplies each block's zero padding by the
+    block column's ``x`` segment, and 0 × inf and 0 × NaN are NaN, as on
+    a tensor core, so every row of every block covering ``c`` turns NaN.
+    """
+
+    @staticmethod
+    def _one_entry(value_dtype=np.float16):
+        return BitBSRMatrix((8, 8), [0, 1], [0], [1], [2.0], value_dtype=value_dtype)
+
+    @staticmethod
+    def _one_entry_csr():
+        return CSRMatrix((8, 8), np.array([0] + [1] * 8), np.array([0]), np.array([2.0]))
+
+    @staticmethod
+    def _x(column, value):
+        x = np.zeros(8, dtype=np.float32)
+        x[column] = value
+        return x
+
+    @pytest.mark.parametrize("value_dtype", [np.float16, np.float32], ids=["fp16", "tf32"])
+    def test_numeric_twin_reaches_only_rows_with_an_entry(self, value_dtype):
+        bitbsr = self._one_entry(value_dtype)
+        y = spaden_spmv(bitbsr, self._x(0, np.nan))
+        assert np.isnan(y[0]) and not y[1:].any()
+        assert not spaden_spmv(bitbsr, self._x(3, np.inf)).any()
+
+    @pytest.mark.parametrize("value_dtype", [np.float16, np.float32], ids=["fp16", "tf32"])
+    @pytest.mark.parametrize("column,value", [(0, np.nan), (3, np.inf)])
+    def test_simulator_spreads_to_every_row_of_the_block(self, column, value, value_dtype):
+        y, _ = spaden_spmv_simulated(self._one_entry(value_dtype), self._x(column, value))
+        assert np.isnan(y).all()
+
+    def test_engine_degrades_through_the_chain_on_a_non_finite_y(self):
+        with pytest.raises(ChainExhaustedError) as info:
+            SpMVEngine("spaden").spmv(self._one_entry_csr(), self._x(0, np.nan))
+        assert [(e.kernel, e.stage, e.cause) for e in info.value.events] == [
+            (kernel, "check", "NumericalError")
+            for kernel in ("spaden", "spaden-no-tc", "cusparse-csr", "csr-scalar")
+        ]
+
+    def test_engine_serves_zeros_for_inf_in_a_column_with_no_entry(self):
+        engine = SpMVEngine("spaden")
+        y = engine.spmv(self._one_entry_csr(), self._x(3, np.inf))
+        assert y.tobytes() == np.zeros(8, dtype=np.float32).tobytes()
+        assert engine.stats.degradations == 0

@@ -1,7 +1,9 @@
 """OperandStore adversarial suite: every bad entry is a counted miss."""
 
+import json
 import os
 import threading
+import tracemalloc
 
 import pytest
 
@@ -59,6 +61,36 @@ class TestRoundTrip:
         reader = OperandStore(tmp_path, name="r")
         writer.put("spaden", "f1", b"shared", codec=CODEC)
         assert reader.get("spaden", "f1", codec=CODEC) == b"shared"
+
+    def test_frame_is_the_single_buffer_formula(self, tmp_path):
+        store = OperandStore(tmp_path, name="frame")
+        payload = bytes(range(256)) * 5
+        store.put("spaden", "f1", payload, codec=CODEC)
+        frame = store._path("spaden", "f1").read_bytes()
+        header = json.dumps(
+            {
+                "kernel": "spaden",
+                "fingerprint": "f1",
+                "codec": CODEC,
+                "payload_bytes": len(payload),
+                "digest": json.loads(frame[12:-len(payload)])["digest"],
+            },
+            sort_keys=True,
+        ).encode("utf-8")
+        assert frame == (
+            b"RPRS"
+            + SCHEMA_VERSION.to_bytes(4, "little")
+            + len(header).to_bytes(4, "little")
+            + header
+            + payload
+        )
+
+    def test_get_returns_a_read_only_view(self, tmp_path):
+        store = OperandStore(tmp_path, name="view")
+        store.put("spaden", "f1", bytearray(b"payload-bytes"), codec=CODEC)
+        got = store.get("spaden", "f1", codec=CODEC)
+        assert isinstance(got, memoryview) and got.readonly
+        assert got.tobytes() == b"payload-bytes"
 
     def test_bad_config_raises(self, tmp_path):
         with pytest.raises(PersistError):
@@ -187,6 +219,37 @@ class TestEviction:
         assert store.stats.rejected == 1 and store.stats.puts == 0
         assert len(store) == 0
         assert _metric_total("persist_puts_total", store="rej", outcome="rejected") == 1
+
+
+class TestFootprint:
+    """A store round trip holds the payload once, never a second frame."""
+
+    PAYLOAD = 1 << 20
+    SLACK = 64 << 10
+
+    def test_get_holds_the_payload_once(self, tmp_path):
+        store = OperandStore(tmp_path, name="mem-get")
+        store.put("k", "f1", os.urandom(self.PAYLOAD), codec=CODEC)
+        tracemalloc.start()
+        try:
+            got = store.get("k", "f1", codec=CODEC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is not None and got.nbytes == self.PAYLOAD
+        # the file read once: a second copy would be another megabyte
+        assert peak < self.PAYLOAD + self.SLACK, peak
+
+    def test_put_never_builds_the_frame(self, tmp_path):
+        store = OperandStore(tmp_path, name="mem-put")
+        payload = os.urandom(self.PAYLOAD)
+        tracemalloc.start()
+        try:
+            assert store.put("k", "f1", payload, codec=CODEC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.SLACK, peak
 
 
 class TestConcurrency:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.bench import append_trajectory
@@ -14,6 +16,17 @@ from repro.bench.plan import (
     format_plan_report,
 )
 from repro.errors import ObservabilityError, PlanError
+from repro.plan import matrix_fingerprint
+
+
+def _blake2b_fingerprint(csr) -> str:
+    """The fingerprint formula before SHA-256 (store schema 1)."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(repr(csr.shape).encode())
+    for array in (csr.row_pointers, csr.col_indices, csr.values):
+        h.update(f"{array.dtype.str}:{array.size};".encode())
+        h.update(np.ascontiguousarray(array).data)
+    return h.hexdigest()
 
 
 class TestBlockSweepMatrix:
@@ -88,7 +101,7 @@ class TestCommittedSweep:
         fresh = json.loads(json.dumps(bench_plan_crossover(seed=0).as_dict()))
         close = dict(rel=1e-9)
         assert len(fresh["points"]) == len(committed["points"])
-        for point, then in zip(fresh["points"], committed["points"]):
+        for index, (point, then) in enumerate(zip(fresh["points"], committed["points"])):
             # picks, chain order and reasons exactly
             for key in ("per_block_nnz", "nnz", "planner_pick", "static_pick"):
                 assert point[key] == then[key], key
@@ -107,8 +120,18 @@ class TestCommittedSweep:
                 )
             profile = dict(point["plan"]["profile"])
             old_profile = dict(then["plan"]["profile"])
-            for key in ("block_nnz_hist", "fingerprint"):
-                assert profile.pop(key) == old_profile.pop(key), key
+            assert profile.pop("block_nnz_hist") == old_profile.pop("block_nnz_hist")
+            # the entry holds blake2b fingerprints: the regenerated matrix
+            # must hash to them under that formula, so its content is the
+            # committed one, and to the fresh plan's key under SHA-256
+            csr = block_sweep_csr(
+                then["per_block_nnz"],
+                nrows=then["nrows"],
+                ncols=then["ncols"],
+                seed=committed["seed"] + index,
+            )
+            assert _blake2b_fingerprint(csr) == old_profile.pop("fingerprint")
+            assert matrix_fingerprint(csr) == profile.pop("fingerprint")
             assert profile == pytest.approx(old_profile, **close)
 
 

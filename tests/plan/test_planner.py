@@ -52,6 +52,19 @@ class TestStaticPlanner:
         with pytest.raises(PlanError):
             StaticPlanner(()).plan(dense_csr)
 
+    def test_reads_the_registry_once(self, dense_csr, monkeypatch):
+        from repro.perf import plan_model
+
+        builds = []
+        menu = plan_model.kernel_menu
+        monkeypatch.setattr(
+            plan_model, "kernel_menu", lambda: builds.append(1) or menu()
+        )
+        planner = StaticPlanner()
+        plans = [planner.plan(dense_csr) for _ in range(5)]
+        assert len(builds) == 1
+        assert all(plan.kernels == planner.chain == default_chain() for plan in plans)
+
 
 class TestStructurePlannerRanking:
     def test_dense_blocks_keep_spaden_first(self, dense_csr):

@@ -145,12 +145,12 @@ class TestFingerprint:
         array = base[:20] if contiguous else base[::2]
         assert array.flags.c_contiguous is contiguous
         csr = SimpleNamespace(shape=(7, 9), row_pointers=array, col_indices=array[::-1], values=array)
-        h = hashlib.blake2b(digest_size=16)
+        h = hashlib.sha256()
         h.update(repr(csr.shape).encode())
         for a in (csr.row_pointers, csr.col_indices, csr.values):
             h.update(f"{a.dtype.str}:{a.size};".encode())
             h.update(a.tobytes())
-        assert matrix_fingerprint(csr) == h.hexdigest()
+        assert matrix_fingerprint(csr) == h.hexdigest()[:32]
 
     def test_hashes_without_copying_the_arrays(self):
         csr = generate_matrix("cant", scale=0.13, seed=1).csr
